@@ -144,6 +144,11 @@ impl MlpClassifier {
         &self.mlp
     }
 
+    /// The wrapped PCA projection.
+    pub fn pca(&self) -> &Pca {
+        &self.pca
+    }
+
     /// PCA projection (timed: dot products against `k` components).
     pub fn project(&self, p: &mut Proc<'_>, features: &[f32]) -> Vec<f32> {
         let k = self.pca.components() as u64;

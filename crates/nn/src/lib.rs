@@ -50,4 +50,35 @@ pub use lut::SigmoidLut;
 pub use matrix::Matrix;
 pub use mlp::{Activation, Mlp, Topology, TopologyParseError};
 pub use pca::Pca;
-pub use train::{TrainReport, Trainer};
+pub use train::{FitMemoStats, TrainReport, Trainer};
+
+/// 64-bit FNV-1a over little-endian words, for parameter fingerprints.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    fn f32s(&mut self, xs: &[f32]) {
+        self.word(xs.len() as u64);
+        for x in xs {
+            self.bytes(&x.to_bits().to_le_bytes());
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}

@@ -94,22 +94,8 @@ impl Matrix {
     ///
     /// Panics if `v.len() != self.cols()`.
     pub fn mul_vec(&self, v: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.mul_vec_into(v, &mut out);
-        out
-    }
-
-    /// Matrix–vector product written into a reusable output vector, which is
-    /// resized to `self.rows()`. Accumulation order matches [`Matrix::mul_vec`]
-    /// exactly, so the two are bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()`.
-    pub fn mul_vec_into(&self, v: &[f32], out: &mut Vec<f32>) {
         assert_eq!(v.len(), self.cols, "vector length must match columns");
-        out.clear();
-        out.resize(self.rows, 0.0);
+        let mut out = vec![0.0; self.rows];
         // Eight rows per pass: each row keeps its own accumulator, walking
         // columns in order, so every dot product performs the identical
         // left-to-right f32 addition sequence as a one-row-at-a-time loop —
@@ -160,6 +146,7 @@ impl Matrix {
             out[r] = acc;
             r += 1;
         }
+        out
     }
 
     /// Transposed matrix–vector product `selfᵀ · v`.
@@ -168,28 +155,15 @@ impl Matrix {
     ///
     /// Panics if `v.len() != self.rows()`.
     pub fn mul_vec_transposed(&self, v: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.mul_vec_transposed_into(v, &mut out);
-        out
-    }
-
-    /// Transposed matrix–vector product written into a reusable output
-    /// vector, which is resized to `self.cols()`. Bit-identical to
-    /// [`Matrix::mul_vec_transposed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.rows()`.
-    pub fn mul_vec_transposed_into(&self, v: &[f32], out: &mut Vec<f32>) {
         assert_eq!(v.len(), self.rows, "vector length must match rows");
-        out.clear();
-        out.resize(self.cols, 0.0);
+        let mut out = vec![0.0; self.cols];
         for (r, &s) in v.iter().enumerate() {
             let row = &self.data[r * self.cols..(r + 1) * self.cols];
             for (o, a) in out.iter_mut().zip(row.iter()) {
                 *o += s * a;
             }
         }
+        out
     }
 
     /// Frobenius norm squared (used by L2 regularization).

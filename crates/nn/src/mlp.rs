@@ -258,27 +258,24 @@ impl Mlp {
         activ
     }
 
-    /// Forward pass that records every layer's activated outputs into
-    /// reusable per-layer buffers (used by backprop), so training loops pay
-    /// no allocation per sample. The first trace element is the input itself.
-    pub(crate) fn forward_trace_into(&self, input: &[f32], trace: &mut Vec<Vec<f32>>) {
-        trace.resize_with(self.layers.len() + 1, Vec::new);
-        trace[0].clear();
-        trace[0].extend_from_slice(input);
-        for (i, layer) in self.layers.iter().enumerate() {
-            let (done, rest) = trace.split_at_mut(i + 1);
-            let prev = &done[i];
-            let z = &mut rest[0];
-            layer.weights.mul_vec_into(prev, z);
-            for (zi, b) in z.iter_mut().zip(layer.biases.iter()) {
-                *zi = layer.activation.apply(*zi + b);
-            }
-        }
-    }
-
     /// Total number of trainable parameters.
     pub fn parameter_count(&self) -> usize {
         self.topology.parameter_count()
+    }
+
+    /// A 64-bit FNV-1a digest of the exact parameter bits: every layer's
+    /// shape, activation, weights and biases. The trainer's golden
+    /// bit-identity tests pin fitted networks by this digest.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = crate::Fnv1a::new();
+        for layer in &self.layers {
+            h.word(layer.weights.rows() as u64);
+            h.word(layer.weights.cols() as u64);
+            h.word(layer.activation.memo_tag());
+            h.f32s(layer.weights.as_slice());
+            h.f32s(&layer.biases);
+        }
+        h.finish()
     }
 
     /// Bytes of weight storage at 32-bit precision (NPU weight buffers).

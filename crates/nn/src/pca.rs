@@ -54,20 +54,11 @@ impl Pca {
             *m /= n;
         }
 
-        // Covariance matrix (d × d). For the paper's d ≤ 192 this is cheap.
-        let mut cov = Matrix::zeros(d, d);
-        for row in data {
-            let centered: Vec<f32> = row.iter().zip(mean.iter()).map(|(x, m)| x - m).collect();
-            for i in 0..d {
-                let ci = centered[i];
-                for j in 0..d {
-                    cov[(i, j)] += ci * centered[j] / n;
-                }
-            }
-        }
+        let mut cov = covariance(data, &mean);
 
         // Power iteration with deflation.
         let mut components = Matrix::zeros(k, d);
+        let mut w = vec![0.0f32; d];
         for comp in 0..k {
             let mut v: Vec<f32> = (0..d)
                 .map(|i| if i % (comp + 1) == 0 { 1.0 } else { 0.5 })
@@ -75,7 +66,7 @@ impl Pca {
             normalize(&mut v);
             let mut eigenvalue = 0.0f32;
             for _ in 0..200 {
-                let mut w = cov.mul_vec(&v);
+                mul_vec_col_major(&cov, &v, &mut w);
                 let norm = vec_norm(&w);
                 if norm < 1e-12 {
                     break;
@@ -84,24 +75,34 @@ impl Pca {
                     *x /= norm;
                 }
                 let delta: f32 = w.iter().zip(v.iter()).map(|(a, b)| (a - b).abs()).sum();
-                v = w;
+                std::mem::swap(&mut v, &mut w);
                 eigenvalue = norm;
                 if delta < 1e-7 {
                     break;
                 }
             }
-            for (c, x) in (0..d).zip(v.iter()) {
-                components[(comp, c)] = *x;
-            }
-            // Deflate: cov -= λ v vᵀ.
-            for i in 0..d {
-                for j in 0..d {
-                    cov[(i, j)] -= eigenvalue * v[i] * v[j];
+            components.row_mut(comp).copy_from_slice(&v);
+            // Deflate: cov -= λ v vᵀ, element (i, j) as (λ·v[i])·v[j].
+            let lv: Vec<f32> = v.iter().map(|x| eigenvalue * x).collect();
+            for (j, &vj) in v.iter().enumerate() {
+                for (c, &lvi) in cov.row_mut(j).iter_mut().zip(lv.iter()) {
+                    *c -= lvi * vj;
                 }
             }
         }
 
         Pca { mean, components }
+    }
+
+    /// A 64-bit FNV-1a digest of the exact bits of the fitted mean and
+    /// components (see [`crate::Mlp::fingerprint`]).
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = crate::Fnv1a::new();
+        h.word(self.components.rows() as u64);
+        h.word(self.components.cols() as u64);
+        h.f32s(&self.mean);
+        h.f32s(self.components.as_slice());
+        h.finish()
     }
 
     /// Number of components `k`.
@@ -137,6 +138,66 @@ impl Pca {
             *o += m;
         }
         out
+    }
+}
+
+/// The covariance matrix (d × d), accumulated one centered row at a time
+/// as `ci * cj / n`. [`Pca::fit`] treats it as column-major (`cov.row(j)`
+/// is column `j`), so the power iteration reads contiguous columns. The
+/// matrix is bitwise symmetric (`ci * cj` equals `cj * ci`, summed over
+/// the same rows in the same order), so only the upper triangle is
+/// accumulated and then mirrored, and either layout is the same matrix.
+fn covariance(data: &[Vec<f32>], mean: &[f32]) -> Matrix {
+    let d = mean.len();
+    let n = data.len() as f32;
+    let mut cov = Matrix::zeros(d, d);
+    let mut centered = vec![0.0f32; d];
+    for row in data {
+        for ((c, x), m) in centered.iter_mut().zip(row.iter()).zip(mean.iter()) {
+            *c = x - m;
+        }
+        for (i, &ci) in centered.iter().enumerate() {
+            for (c, &cj) in cov.row_mut(i)[i..].iter_mut().zip(centered[i..].iter()) {
+                *c += ci * cj / n;
+            }
+        }
+    }
+    for i in 0..d {
+        for j in i + 1..d {
+            cov[(j, i)] = cov[(i, j)];
+        }
+    }
+    cov
+}
+
+/// Rows of `cov · v` that advance together in [`mul_vec_col_major`].
+const ROW_BLOCK: usize = 32;
+
+/// `w = cov · v` for a column-major `cov_t` (`cov_t.row(j)` is column `j`).
+/// Each output row still sums `cov[i][j] · v[j]` from `0.0` in column
+/// order, exactly as [`Matrix::mul_vec`] does, but a block of rows
+/// advances per instruction.
+fn mul_vec_col_major(cov_t: &Matrix, v: &[f32], w: &mut [f32]) {
+    let d = cov_t.cols();
+    let cols = cov_t.as_slice().chunks_exact(d);
+    let mut start = 0;
+    while start + ROW_BLOCK <= d {
+        let mut acc = [0.0f32; ROW_BLOCK];
+        for (col, &vj) in cols.clone().zip(v) {
+            let col: &[f32; ROW_BLOCK] = col[start..start + ROW_BLOCK].try_into().expect("block");
+            for (a, &c) in acc.iter_mut().zip(col) {
+                *a += c * vj;
+            }
+        }
+        w[start..start + ROW_BLOCK].copy_from_slice(&acc);
+        start += ROW_BLOCK;
+    }
+    let rest = &mut w[start..];
+    rest.fill(0.0);
+    for (col, &vj) in cols.zip(v) {
+        for (a, &c) in rest.iter_mut().zip(&col[start..]) {
+            *a += c * vj;
+        }
     }
 }
 

@@ -1,7 +1,8 @@
 //! Minibatch SGD training with the paper's regularization recipe:
 //! L2 weight decay (λ = 0.01) and gradient clipping (c = 2.5), §V-F.
 
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -9,9 +10,25 @@ use rand::SeedableRng;
 
 use crate::loss::Loss;
 use crate::matrix::Matrix;
-use crate::mlp::{Layer, Mlp};
+use crate::mlp::{Activation, Layer, Mlp};
 
-/// Process-global memo of completed [`Trainer::fit`] calls.
+/// Samples per lane tile: the default minibatch. Larger batches run as
+/// several tiles in chunk order; a partial tile pads lanes never read.
+const LANES: usize = 16;
+
+/// One value per sample of a lane tile.
+type Lanes = [f32; LANES];
+
+/// A completed fit: the trained parameters and their report.
+type FitResult = (Vec<Layer>, TrainReport);
+
+/// One memo slot; `result` is `None` while a thread is still training it.
+struct MemoEntry {
+    key: Vec<u64>,
+    result: Option<Arc<FitResult>>,
+}
+
+/// Process-global, single-flight memo of [`Trainer::fit`] calls.
 ///
 /// Training is fully deterministic — the result is a pure function of the
 /// hyperparameters, the network's initial state, and the dataset — so when
@@ -19,15 +36,86 @@ use crate::mlp::{Layer, Mlp};
 /// the identical PatrolBot detector for the baseline and Tartan
 /// configurations, and robot training depends only on seed and scale, not
 /// on the machine), the second call replays the cached parameters
-/// bit-for-bit instead of re-running minutes of SGD. The key packs every
-/// bit that feeds the computation, so a hit is exact by construction, not
-/// by hashing.
-type FitMemoEntry = (Vec<u64>, (Vec<Layer>, TrainReport));
-static FIT_MEMO: Mutex<Vec<FitMemoEntry>> = Mutex::new(Vec::new());
+/// bit-for-bit instead of repeating the fit (tenths of a second at small
+/// scale, seconds at paper scale). The key packs every bit that feeds the
+/// computation, so a hit is exact by construction, not by hashing. A key
+/// being trained holds an in-flight slot: concurrent identical fits wait
+/// on [`FIT_DONE`] for its result instead of training it again, and a fit
+/// that panics frees its slot so a waiter retries.
+static FIT_MEMO: Mutex<Vec<MemoEntry>> = Mutex::new(Vec::new());
+static FIT_DONE: Condvar = Condvar::new();
+
+static FITS_TRAINED: AtomicU64 = AtomicU64::new(0);
+static FITS_REPLAYED: AtomicU64 = AtomicU64::new(0);
+static FITS_WAITED: AtomicU64 = AtomicU64::new(0);
 
 /// Entries are environment-sized (the PatrolBot detector is ~150 KB); a
 /// small cap bounds worst-case memo growth in long test processes.
 const FIT_MEMO_MAX: usize = 32;
+
+/// Process-wide counts of [`Trainer::fit`] outcomes since start-up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FitMemoStats {
+    /// Fits that ran SGD.
+    pub trained: u64,
+    /// Fits served from the memo without training.
+    pub replayed: u64,
+    /// Of the replayed fits, those that first waited for an identical fit
+    /// still in flight on another thread.
+    pub waited: u64,
+}
+
+impl FitMemoStats {
+    /// A snapshot of the counters.
+    pub fn snapshot() -> Self {
+        FitMemoStats {
+            trained: FITS_TRAINED.load(Ordering::Relaxed),
+            replayed: FITS_REPLAYED.load(Ordering::Relaxed),
+            waited: FITS_WAITED.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Locks the memo. Every update under the lock is one `Vec` operation
+/// that leaves the memo valid, so a lock poisoned by a panic elsewhere is
+/// safe to recover.
+fn lock_memo() -> MutexGuard<'static, Vec<MemoEntry>> {
+    FIT_MEMO.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The claim on an in-flight memo slot. [`InFlight::complete`] publishes
+/// the result; dropping the claim unpublished (a panicking fit) frees the
+/// slot, so waiters retry instead of blocking forever.
+struct InFlight {
+    key: Option<Vec<u64>>,
+}
+
+impl InFlight {
+    fn complete(mut self, result: FitResult) {
+        let key = self.key.take().expect("claim completes once");
+        let mut memo = lock_memo();
+        memo.retain(|e| e.key != key);
+        // Completed entries stay in completion order, oldest evicted first.
+        if memo.iter().filter(|e| e.result.is_some()).count() >= FIT_MEMO_MAX {
+            let oldest = memo.iter().position(|e| e.result.is_some());
+            memo.remove(oldest.expect("memo holds completed entries"));
+        }
+        memo.push(MemoEntry {
+            key,
+            result: Some(Arc::new(result)),
+        });
+        FIT_DONE.notify_all();
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        if let Some(key) = self.key.take() {
+            lock_memo().retain(|e| e.key != key);
+            FIT_DONE.notify_all();
+        }
+    }
+}
 
 /// Summary statistics returned by [`Trainer::fit`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,30 +130,71 @@ pub struct TrainReport {
     pub overestimation_rate: f32,
 }
 
-/// Reusable gradient/activation buffers for [`Trainer::step`], allocated
-/// once per [`Trainer::fit`] call. Reuse changes no arithmetic — gradients
-/// are zero-filled before each step and every accumulation runs in the same
-/// order as the allocate-per-step version.
+/// Gradient and activation buffers for [`Trainer::step`], allocated once
+/// per fit and reused by every step; gradients are zero-filled before each
+/// step.
+///
+/// Activations and deltas are feature-major: one [`Lanes`] per neuron,
+/// lane `l` holding sample `l` of the current tile. Within a minibatch the
+/// weights are fixed, so the samples' dot-product chains are independent
+/// and advance side by side in SIMD lanes, each one still running the
+/// exact f32 operation sequence of a one-sample-at-a-time pass.
 struct StepScratch {
     grad_w: Vec<Matrix>,
     grad_b: Vec<Vec<f32>>,
-    trace: Vec<Vec<f32>>,
-    delta: Vec<f32>,
-    next_delta: Vec<f32>,
+    /// `acts[0]` is the input tile, `acts[i]` layer `i`'s activated outputs.
+    acts: Vec<Vec<Lanes>>,
+    /// Sample-major copies of each layer's input (`samples[i]` holds
+    /// sample `l`'s `acts[i]` at `l * stride..`, zero-padded to a stride
+    /// that is a multiple of 4), the contiguous rows the weight-gradient
+    /// kernel reads.
+    samples: Vec<Vec<f32>>,
+    delta: Vec<Lanes>,
+    next_delta: Vec<Lanes>,
 }
 
 impl StepScratch {
     fn for_mlp(mlp: &Mlp) -> Self {
+        let n = mlp.layers.len();
         StepScratch {
             grad_w: mlp
                 .layers
                 .iter()
                 .map(|l| Matrix::zeros(l.weights.rows(), l.weights.cols()))
                 .collect(),
-            grad_b: mlp.layers.iter().map(|l| vec![0.0; l.biases.len()]).collect(),
-            trace: Vec::new(),
+            grad_b: mlp
+                .layers
+                .iter()
+                .map(|l| vec![0.0; l.biases.len()])
+                .collect(),
+            acts: vec![Vec::new(); n + 1],
+            samples: vec![Vec::new(); n],
             delta: Vec::new(),
             next_delta: Vec::new(),
+        }
+    }
+
+    /// Loads the tile's inputs feature-major (unused lanes are zero) and
+    /// runs the forward pass, leaving every layer's outputs in `acts`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an input's width does not match the network.
+    fn forward(&mut self, mlp: &Mlp, inputs: &[Vec<f32>], tile: &[usize]) {
+        let width = mlp.layers[0].weights.cols();
+        let x = &mut self.acts[0];
+        x.clear();
+        x.resize(width, [0.0; LANES]);
+        for (l, &idx) in tile.iter().enumerate() {
+            let input = &inputs[idx];
+            assert_eq!(input.len(), width, "input length must match topology");
+            for (xc, &v) in x.iter_mut().zip(input) {
+                xc[l] = v;
+            }
+        }
+        for (i, layer) in mlp.layers.iter().enumerate() {
+            let (done, rest) = self.acts.split_at_mut(i + 1);
+            forward_layer(layer, &done[i], &mut rest[0]);
         }
     }
 }
@@ -205,16 +334,42 @@ impl Trainer {
         assert_eq!(inputs.len(), targets.len(), "inputs/targets must pair up");
         assert!(!inputs.is_empty(), "dataset must be non-empty");
         let key = self.memo_key(mlp, inputs, targets);
-        let cached = FIT_MEMO
-            .lock()
-            .unwrap()
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.clone());
-        if let Some((layers, report)) = cached {
-            mlp.layers = layers;
-            return report;
-        }
+        let claim = {
+            let mut memo = lock_memo();
+            let mut waited = false;
+            loop {
+                match memo.iter().find(|e| e.key == key).map(|e| e.result.clone()) {
+                    Some(Some(done)) => {
+                        FITS_REPLAYED.fetch_add(1, Ordering::Relaxed);
+                        if waited {
+                            FITS_WAITED.fetch_add(1, Ordering::Relaxed);
+                        }
+                        drop(memo);
+                        mlp.layers = done.0.clone();
+                        return done.1;
+                    }
+                    Some(None) => {
+                        waited = true;
+                        memo = FIT_DONE.wait(memo).unwrap_or_else(PoisonError::into_inner);
+                    }
+                    None => {
+                        memo.push(MemoEntry {
+                            key: key.clone(),
+                            result: None,
+                        });
+                        break InFlight { key: Some(key) };
+                    }
+                }
+            }
+        };
+        let report = self.train(mlp, inputs, targets);
+        FITS_TRAINED.fetch_add(1, Ordering::Relaxed);
+        claim.complete((mlp.layers.clone(), report));
+        report
+    }
+
+    /// Runs the SGD epochs, then measures loss and overestimation.
+    fn train(&self, mlp: &mut Mlp, inputs: &[Vec<f32>], targets: &[Vec<f32>]) -> TrainReport {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut order: Vec<usize> = (0..inputs.len()).collect();
 
@@ -224,39 +379,52 @@ impl Trainer {
             .iter()
             .map(|l| Matrix::zeros(l.weights.rows(), l.weights.cols()))
             .collect();
-        let mut vel_b: Vec<Vec<f32>> = mlp.layers.iter().map(|l| vec![0.0; l.biases.len()]).collect();
-        // Gradient and activation scratch, reused across every step so the
-        // hot loop performs no per-sample allocation.
+        let mut vel_b: Vec<Vec<f32>> = mlp
+            .layers
+            .iter()
+            .map(|l| vec![0.0; l.biases.len()])
+            .collect();
         let mut scratch = StepScratch::for_mlp(mlp);
 
         for _ in 0..self.epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(self.batch_size) {
-                self.step(mlp, inputs, targets, chunk, &mut vel_w, &mut vel_b, &mut scratch);
+                self.step(
+                    mlp,
+                    inputs,
+                    targets,
+                    chunk,
+                    &mut vel_w,
+                    &mut vel_b,
+                    &mut scratch,
+                );
             }
         }
 
-        let preds: Vec<Vec<f32>> = inputs.iter().map(|x| mlp.forward(x)).collect();
+        // The lane forward is bit-identical to `Mlp::forward` per sample.
+        let mut preds = Vec::with_capacity(inputs.len());
+        let all: Vec<usize> = (0..inputs.len()).collect();
+        for tile in all.chunks(LANES) {
+            scratch.forward(mlp, inputs, tile);
+            let out = &scratch.acts[mlp.layers.len()];
+            preds.extend((0..tile.len()).map(|l| out.iter().map(|o| o[l]).collect::<Vec<f32>>()));
+        }
         let final_loss = self.loss.mean(targets, &preds);
         let over = preds
             .iter()
             .zip(targets.iter())
             .filter(|(p, t)| p[0] > t[0])
             .count();
-        let report = TrainReport {
+        TrainReport {
             final_loss,
             epochs: self.epochs,
             overestimation_rate: over as f32 / inputs.len() as f32,
-        };
-        let mut memo = FIT_MEMO.lock().unwrap();
-        if memo.len() >= FIT_MEMO_MAX {
-            memo.remove(0);
         }
-        memo.push((key, (mlp.layers.clone(), report)));
-        report
     }
 
-    /// One SGD step over the index batch `chunk`.
+    /// One SGD step over the index batch `chunk`, in tiles of [`LANES`]
+    /// samples. Every gradient element still accumulates over the samples
+    /// in `chunk` order.
     #[allow(clippy::too_many_arguments)]
     fn step(
         &self,
@@ -269,65 +437,83 @@ impl Trainer {
         scratch: &mut StepScratch,
     ) {
         let n_layers = mlp.layers.len();
-        let StepScratch {
-            grad_w,
-            grad_b,
-            trace,
-            delta,
-            next_delta,
-        } = scratch;
-        for gw in grad_w.iter_mut() {
+        for gw in scratch.grad_w.iter_mut() {
             gw.as_mut_slice().fill(0.0);
         }
-        for gb in grad_b.iter_mut() {
+        for gb in scratch.grad_b.iter_mut() {
             gb.fill(0.0);
         }
 
-        for &idx in chunk {
-            mlp.forward_trace_into(&inputs[idx], trace);
-            let output = &trace[n_layers];
-            // Delta at the output layer.
-            delta.clear();
-            delta.extend(
-                output
-                    .iter()
-                    .zip(targets[idx].iter())
-                    .map(|(p, t)| self.loss.gradient(*t, *p)),
-            );
-            for (d, y) in delta.iter_mut().zip(output.iter()) {
-                *d *= mlp.layers[n_layers - 1]
-                    .activation
-                    .derivative_from_output(*y);
+        for tile in chunk.chunks(LANES) {
+            scratch.forward(mlp, inputs, tile);
+            let StepScratch {
+                grad_w,
+                grad_b,
+                acts,
+                samples,
+                delta,
+                next_delta,
+            } = &mut *scratch;
+            // Delta at the output layer; unused lanes stay zero.
+            let out_act = mlp.layers[n_layers - 1].activation;
+            for &idx in tile {
+                assert_eq!(
+                    targets[idx].len(),
+                    acts[n_layers].len(),
+                    "target length must match topology"
+                );
             }
-            // Backpropagate. The weight-gradient accumulation walks each row
-            // as a slice zip — same `+= d * a` sequence in the same column
-            // order as indexed accumulation, so gradients stay bit-identical,
-            // but the bounds checks vanish and the loop vectorizes.
-            for layer_idx in (0..n_layers).rev() {
-                let prev_act = &trace[layer_idx];
-                let gw = &mut grad_w[layer_idx];
-                let gb = &mut grad_b[layer_idx];
-                for (r, &d) in delta.iter().enumerate() {
-                    gb[r] += d;
-                    for (g, &a) in gw.row_mut(r).iter_mut().zip(prev_act.iter()) {
-                        *g += d * a;
-                    }
+            delta.clear();
+            delta.extend(acts[n_layers].iter().enumerate().map(|(o, y)| {
+                let mut d = [0.0; LANES];
+                for ((dl, &yl), &idx) in d.iter_mut().zip(y).zip(tile) {
+                    *dl = self.loss.gradient(targets[idx][o], yl)
+                        * out_act.derivative_from_output(yl);
                 }
+                d
+            }));
+            for (sm, x) in samples.iter_mut().zip(acts.iter()) {
+                to_sample_major(x, sm);
+            }
+            for layer_idx in (0..n_layers).rev() {
+                let mut rows: [&[f32]; LANES] = [&[]; LANES];
+                let stride = padded(acts[layer_idx].len());
+                for (row, s) in rows.iter_mut().zip(samples[layer_idx].chunks_exact(stride)) {
+                    *row = s;
+                }
+                accumulate_grads(
+                    &mut grad_w[layer_idx],
+                    &mut grad_b[layer_idx],
+                    delta,
+                    &rows[..tile.len()],
+                );
                 if layer_idx > 0 {
-                    mlp.layers[layer_idx]
-                        .weights
-                        .mul_vec_transposed_into(delta, next_delta);
-                    for (d, y) in next_delta.iter_mut().zip(trace[layer_idx].iter()) {
-                        *d *= mlp.layers[layer_idx - 1]
-                            .activation
-                            .derivative_from_output(*y);
-                    }
+                    backprop_layer(
+                        &mlp.layers[layer_idx].weights,
+                        delta,
+                        &acts[layer_idx],
+                        mlp.layers[layer_idx - 1].activation,
+                        next_delta,
+                    );
                     std::mem::swap(delta, next_delta);
                 }
             }
         }
+        self.update(mlp, chunk.len(), vel_w, vel_b, scratch);
+    }
 
-        let scale = 1.0 / chunk.len() as f32;
+    /// The step's tail: scale the summed gradients to a mean, add L2 on the
+    /// weights, clip the global norm, then apply momentum SGD.
+    fn update(
+        &self,
+        mlp: &mut Mlp,
+        batch: usize,
+        vel_w: &mut [Matrix],
+        vel_b: &mut [Vec<f32>],
+        scratch: &mut StepScratch,
+    ) {
+        let StepScratch { grad_w, grad_b, .. } = scratch;
+        let scale = 1.0 / batch as f32;
         // L2 regularization on the weights (not biases), then clipping.
         for (gw, layer) in grad_w.iter_mut().zip(mlp.layers.iter()) {
             for (g, w) in gw
@@ -368,25 +554,222 @@ impl Trainer {
         }
 
         // Momentum update.
-        for layer_idx in 0..n_layers {
-            let layer = &mut mlp.layers[layer_idx];
-            for ((v, g), w) in vel_w[layer_idx]
+        for (((layer, vw), vb), (gw, gb)) in mlp
+            .layers
+            .iter_mut()
+            .zip(vel_w.iter_mut())
+            .zip(vel_b.iter_mut())
+            .zip(grad_w.iter().zip(grad_b.iter()))
+        {
+            for ((v, g), w) in vw
                 .as_mut_slice()
                 .iter_mut()
-                .zip(grad_w[layer_idx].as_slice().iter())
+                .zip(gw.as_slice().iter())
                 .zip(layer.weights.as_mut_slice().iter_mut())
             {
                 *v = self.momentum * *v - self.learning_rate * g;
                 *w += *v;
             }
-            for ((v, g), b) in vel_b[layer_idx]
-                .iter_mut()
-                .zip(grad_b[layer_idx].iter())
-                .zip(layer.biases.iter_mut())
-            {
+            for ((v, g), b) in vb.iter_mut().zip(gb.iter()).zip(layer.biases.iter_mut()) {
                 *v = self.momentum * *v - self.learning_rate * g;
                 *b += *v;
             }
+        }
+    }
+}
+
+/// `out[r][l] = act(Σ_c w[r][c] · x[c][l] + b[r])`: each (neuron, sample)
+/// sum starts at `0.0` and adds in column order, exactly as
+/// [`Matrix::mul_vec`] does for one sample. Row pairs share each input
+/// load.
+fn forward_layer(layer: &Layer, x: &[Lanes], out: &mut Vec<Lanes>) {
+    let cols = layer.weights.cols();
+    let act = layer.activation;
+    let finish = |acc: Lanes, b: f32| acc.map(|z| act.apply(z + b));
+    out.clear();
+    let w = layer.weights.as_slice();
+    let pairs = w.chunks_exact(2 * cols);
+    let odd = pairs.remainder();
+    for (pair, b) in pairs.zip(layer.biases.chunks_exact(2)) {
+        let (w0, w1) = pair.split_at(cols);
+        let mut a0 = [0.0f32; LANES];
+        let mut a1 = [0.0f32; LANES];
+        for ((xc, &u0), &u1) in x.iter().zip(w0).zip(w1) {
+            for l in 0..LANES {
+                a0[l] += u0 * xc[l];
+                a1[l] += u1 * xc[l];
+            }
+        }
+        out.push(finish(a0, b[0]));
+        out.push(finish(a1, b[1]));
+    }
+    if !odd.is_empty() {
+        let mut a0 = [0.0f32; LANES];
+        for (xc, &u0) in x.iter().zip(odd) {
+            for l in 0..LANES {
+                a0[l] += u0 * xc[l];
+            }
+        }
+        out.push(finish(a0, layer.biases[layer.biases.len() - 1]));
+    }
+}
+
+/// `out[c][l] = (Σ_r δ[r][l] · w[r][c]) · act'(y[c][l])`: each (column,
+/// sample) sum starts at `0.0` and adds over rows in order, exactly as
+/// [`Matrix::mul_vec_transposed`] does for one sample. Column pairs share
+/// each delta load.
+fn backprop_layer(w: &Matrix, delta: &[Lanes], y: &[Lanes], act: Activation, out: &mut Vec<Lanes>) {
+    let cols = w.cols();
+    let finish = |acc: Lanes, y: &Lanes| {
+        let mut d = acc;
+        for (dl, &yl) in d.iter_mut().zip(y) {
+            *dl *= act.derivative_from_output(yl);
+        }
+        d
+    };
+    out.clear();
+    let rows = w.as_slice().chunks_exact(cols);
+    let mut c = 0;
+    while c + 2 <= cols {
+        let mut a0 = [0.0f32; LANES];
+        let mut a1 = [0.0f32; LANES];
+        for (row, d) in rows.clone().zip(delta) {
+            let (u0, u1) = (row[c], row[c + 1]);
+            for l in 0..LANES {
+                a0[l] += d[l] * u0;
+                a1[l] += d[l] * u1;
+            }
+        }
+        out.push(finish(a0, &y[c]));
+        out.push(finish(a1, &y[c + 1]));
+        c += 2;
+    }
+    if c < cols {
+        let mut a0 = [0.0f32; LANES];
+        for (row, d) in rows.zip(delta) {
+            let u0 = row[c];
+            for l in 0..LANES {
+                a0[l] += d[l] * u0;
+            }
+        }
+        out.push(finish(a0, &y[c]));
+    }
+}
+
+/// A sample-major row stride: `width` rounded up to a multiple of 4, so
+/// the weight-gradient kernel's last column tile never reads past a row.
+fn padded(width: usize) -> usize {
+    width.div_ceil(4) * 4
+}
+
+/// Copies a feature-major tile into sample-major rows of stride
+/// [`padded`]`(x.len())`, four features at a time. A layer's buffer keeps
+/// its size from tile to tile, so the padding columns, never written,
+/// stay zero.
+fn to_sample_major(x: &[Lanes], out: &mut Vec<f32>) {
+    let stride = padded(x.len());
+    out.resize(LANES * stride, 0.0);
+    for (q, quad) in x.chunks(4).enumerate() {
+        for (row, l) in out.chunks_exact_mut(stride).zip(0..LANES) {
+            for (o, xc) in row[4 * q..4 * q + 4].iter_mut().zip(quad) {
+                *o = xc[l];
+            }
+        }
+    }
+}
+
+/// `gb[r] += δ[r][l]` and `gw[r][c] += δ[r][l] · rows[l][c]` for each
+/// sample `l` in order, so every element sees the same addition sequence
+/// as a one-sample-at-a-time pass. Columns go in tiles of 16, 8 and 4,
+/// each paired with enough rows that a tile holds eight SIMD
+/// accumulators; a tile stays in registers across the whole tile of
+/// samples.
+fn accumulate_grads(gw: &mut Matrix, gb: &mut [f32], delta: &[Lanes], rows: &[&[f32]]) {
+    for (b, d) in gb.iter_mut().zip(delta) {
+        for &dl in &d[..rows.len()] {
+            *b += dl;
+        }
+    }
+    let cols = gw.cols();
+    let mut c = 0;
+    while cols - c >= 16 {
+        accumulate_column::<2, 16>(gw, delta, rows, c);
+        c += 16;
+    }
+    if cols - c >= 8 {
+        accumulate_column::<4, 8>(gw, delta, rows, c);
+        c += 8;
+    }
+    while c < cols {
+        accumulate_column::<8, 4>(gw, delta, rows, c);
+        c += 4;
+    }
+}
+
+/// Columns `c..c + W` of every row, `R` rows per tile, then any leftover
+/// rows one at a time. A tile at the right edge may be partial: it reads
+/// the rows' zero padding and stores back only the real columns.
+fn accumulate_column<const R: usize, const W: usize>(
+    gw: &mut Matrix,
+    delta: &[Lanes],
+    rows: &[&[f32]],
+    c: usize,
+) {
+    let cols = gw.cols();
+    let mut groups = gw.as_mut_slice().chunks_exact_mut(R * cols);
+    let mut deltas = delta.chunks_exact(R);
+    for (g, d) in groups.by_ref().zip(deltas.by_ref()) {
+        accumulate_tile::<R, W>(g, d.try_into().expect("row group"), rows, c);
+    }
+    for (g, d) in groups
+        .into_remainder()
+        .chunks_exact_mut(cols)
+        .zip(deltas.remainder())
+    {
+        accumulate_tile::<1, W>(g, std::array::from_ref(d), rows, c);
+    }
+}
+
+/// One `R × W` tile: `g[k][c + j] += d[k][l] · rows[l][c + j]` for each
+/// sample `l` in order, where `g` holds `R` consecutive gradient rows.
+fn accumulate_tile<const R: usize, const W: usize>(
+    g: &mut [f32],
+    d: &[Lanes; R],
+    rows: &[&[f32]],
+    c: usize,
+) {
+    let cols = g.len() / R;
+    let width = W.min(cols - c);
+    // `acc` is only ever assigned or read whole, through an `edge` copy at
+    // a partial tile: a variable-length copy into or out of `acc` itself
+    // keeps it on the stack and the kernel stops vectorizing.
+    let mut acc = [[0.0f32; W]; R];
+    for (k, a) in acc.iter_mut().enumerate() {
+        let src = &g[k * cols + c..];
+        *a = if width == W {
+            src[..W].try_into().expect("full tile")
+        } else {
+            let mut edge = [0.0f32; W];
+            edge[..width].copy_from_slice(&src[..width]);
+            edge
+        };
+    }
+    for (row, l) in rows.iter().zip(0..LANES) {
+        let x: &[f32; W] = row[c..c + W].try_into().expect("padded row");
+        for (a, dk) in acc.iter_mut().zip(d) {
+            let dl = dk[l];
+            for (aj, &xj) in a.iter_mut().zip(x) {
+                *aj += dl * xj;
+            }
+        }
+    }
+    for (k, &a) in acc.iter().enumerate() {
+        let dst = &mut g[k * cols + c..];
+        if width == W {
+            dst[..W].copy_from_slice(&a);
+        } else {
+            let edge = a;
+            dst[..width].copy_from_slice(&edge[..width]);
         }
     }
 }
@@ -395,6 +778,182 @@ impl Trainer {
 mod tests {
     use super::*;
     use crate::mlp::{Activation, Topology};
+
+    /// The original one-sample-at-a-time step: forward trace, output delta,
+    /// then row-by-row backprop, accumulating into zeroed gradients before
+    /// the shared L2/clipping/momentum tail. The lane kernels must match it
+    /// bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_step(
+        trainer: &Trainer,
+        mlp: &mut Mlp,
+        inputs: &[Vec<f32>],
+        targets: &[Vec<f32>],
+        chunk: &[usize],
+        vel_w: &mut [Matrix],
+        vel_b: &mut [Vec<f32>],
+        scratch: &mut StepScratch,
+    ) {
+        let n_layers = mlp.layers.len();
+        for gw in scratch.grad_w.iter_mut() {
+            gw.as_mut_slice().fill(0.0);
+        }
+        for gb in scratch.grad_b.iter_mut() {
+            gb.fill(0.0);
+        }
+        for &idx in chunk {
+            let mut trace = vec![inputs[idx].clone()];
+            for layer in &mlp.layers {
+                let mut z = layer.weights.mul_vec(&trace[trace.len() - 1]);
+                for (zi, b) in z.iter_mut().zip(layer.biases.iter()) {
+                    *zi = layer.activation.apply(*zi + b);
+                }
+                trace.push(z);
+            }
+            let output = &trace[n_layers];
+            let mut delta: Vec<f32> = output
+                .iter()
+                .zip(targets[idx].iter())
+                .map(|(p, t)| trainer.loss.gradient(*t, *p))
+                .collect();
+            for (d, y) in delta.iter_mut().zip(output.iter()) {
+                *d *= mlp.layers[n_layers - 1]
+                    .activation
+                    .derivative_from_output(*y);
+            }
+            for layer_idx in (0..n_layers).rev() {
+                for (r, &d) in delta.iter().enumerate() {
+                    scratch.grad_b[layer_idx][r] += d;
+                    let row = scratch.grad_w[layer_idx].row_mut(r);
+                    for (g, &a) in row.iter_mut().zip(trace[layer_idx].iter()) {
+                        *g += d * a;
+                    }
+                }
+                if layer_idx > 0 {
+                    let mut next = mlp.layers[layer_idx].weights.mul_vec_transposed(&delta);
+                    for (d, y) in next.iter_mut().zip(trace[layer_idx].iter()) {
+                        *d *= mlp.layers[layer_idx - 1]
+                            .activation
+                            .derivative_from_output(*y);
+                    }
+                    delta = next;
+                }
+            }
+        }
+        trainer.update(mlp, chunk.len(), vel_w, vel_b, scratch);
+    }
+
+    /// [`Trainer::train`] driven by [`reference_step`] and `Mlp::forward`.
+    fn reference_train(
+        trainer: &Trainer,
+        mlp: &mut Mlp,
+        inputs: &[Vec<f32>],
+        targets: &[Vec<f32>],
+    ) -> TrainReport {
+        let mut rng = StdRng::seed_from_u64(trainer.seed);
+        let mut order: Vec<usize> = (0..inputs.len()).collect();
+        let mut vel_w: Vec<Matrix> = mlp
+            .layers
+            .iter()
+            .map(|l| Matrix::zeros(l.weights.rows(), l.weights.cols()))
+            .collect();
+        let mut vel_b: Vec<Vec<f32>> = mlp
+            .layers
+            .iter()
+            .map(|l| vec![0.0; l.biases.len()])
+            .collect();
+        let mut scratch = StepScratch::for_mlp(mlp);
+        for _ in 0..trainer.epochs {
+            order.shuffle(&mut rng);
+            for chunk in order.chunks(trainer.batch_size) {
+                reference_step(
+                    trainer,
+                    mlp,
+                    inputs,
+                    targets,
+                    chunk,
+                    &mut vel_w,
+                    &mut vel_b,
+                    &mut scratch,
+                );
+            }
+        }
+        let preds: Vec<Vec<f32>> = inputs.iter().map(|x| mlp.forward(x)).collect();
+        let over = preds
+            .iter()
+            .zip(targets.iter())
+            .filter(|(p, t)| p[0] > t[0])
+            .count();
+        TrainReport {
+            final_loss: trainer.loss.mean(targets, &preds),
+            epochs: trainer.epochs,
+            overestimation_rate: over as f32 / inputs.len() as f32,
+        }
+    }
+
+    #[test]
+    fn lane_kernels_match_the_per_sample_reference_bit_for_bit() {
+        use rand::RngExt;
+        let mut rng = StdRng::seed_from_u64(17);
+        let n = 45;
+        // Widths straddle the lane count and the 16/8/4 column tiles.
+        let shapes: [&[usize]; 4] = [&[5, 7, 3, 2], &[3, 19, 1], &[13, 33, 17, 4], &[1, 1]];
+        let losses = [
+            (Loss::Mse, Activation::Identity, 0.0, None),
+            (Loss::Bce, Activation::Sigmoid, 0.0, None),
+            (
+                Loss::Asymmetric { alpha: 8.0 },
+                Activation::Identity,
+                0.01,
+                Some(0.5),
+            ),
+        ];
+        for (s, sizes) in shapes.iter().enumerate() {
+            let d_in = sizes[0];
+            let d_out = sizes[sizes.len() - 1];
+            let xs: Vec<Vec<f32>> = (0..n)
+                .map(|_| (0..d_in).map(|_| rng.random_range(-1.0f32..1.0)).collect())
+                .collect();
+            let ys: Vec<Vec<f32>> = (0..n)
+                .map(|_| {
+                    (0..d_out)
+                        .map(|_| rng.random_range(0.05f32..0.95))
+                        .collect()
+                })
+                .collect();
+            for &(loss, head, l2, clip) in &losses {
+                for batch in [1, 3, 16, 17, 40] {
+                    let mut trainer = Trainer::new(loss)
+                        .l2(l2)
+                        .epochs(3)
+                        .batch_size(batch)
+                        .seed(s as u64);
+                    trainer.clip_norm = clip;
+                    let mut lane = Mlp::new(&Topology::new(sizes), s as u64);
+                    lane.set_output_activation(head);
+                    let mut reference = lane.clone();
+                    let lane_report = trainer.train(&mut lane, &xs, &ys);
+                    let ref_report = reference_train(&trainer, &mut reference, &xs, &ys);
+                    let case = format!("{sizes:?} {loss:?} batch {batch}");
+                    assert_eq!(
+                        lane.fingerprint(),
+                        reference.fingerprint(),
+                        "{case}: parameters differ"
+                    );
+                    assert_eq!(
+                        lane_report.final_loss.to_bits(),
+                        ref_report.final_loss.to_bits(),
+                        "{case}: loss"
+                    );
+                    assert_eq!(
+                        lane_report.overestimation_rate.to_bits(),
+                        ref_report.overestimation_rate.to_bits(),
+                        "{case}: overestimation"
+                    );
+                }
+            }
+        }
+    }
 
     /// Numerical gradient check: analytic backprop gradients must match
     /// finite differences of the loss.
@@ -426,7 +985,11 @@ mod tests {
             .epochs(1)
             .batch_size(1);
         let mut trained = mlp.clone();
-        trainer.fit(&mut trained, std::slice::from_ref(&x), std::slice::from_ref(&t));
+        trainer.fit(
+            &mut trained,
+            std::slice::from_ref(&x),
+            std::slice::from_ref(&t),
+        );
         let analytic = mlp.layers[0].weights[(0, 0)] - trained.layers[0].weights[(0, 0)];
         assert!(
             (analytic - fd).abs() < 5e-2 * (1.0 + fd.abs()),
@@ -535,9 +1098,17 @@ mod tests {
             mlp.forward(&[0.4, 0.4])
         };
         let base = run(1, 30, 0.05);
-        assert_eq!(base, run(1, 30, 0.05), "identical fit must replay identically");
+        assert_eq!(
+            base,
+            run(1, 30, 0.05),
+            "identical fit must replay identically"
+        );
         assert_ne!(base, run(2, 30, 0.05), "seed must be part of the memo key");
-        assert_ne!(base, run(1, 31, 0.05), "epochs must be part of the memo key");
+        assert_ne!(
+            base,
+            run(1, 31, 0.05),
+            "epochs must be part of the memo key"
+        );
         assert_ne!(base, run(1, 30, 0.06), "lr must be part of the memo key");
     }
 

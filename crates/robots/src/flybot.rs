@@ -323,4 +323,22 @@ mod tests {
         bot.run(&mut m, 2);
         assert_ne!(bot.position, before, "the drone must move");
     }
+
+    /// Golden bit-identity: the small-scale, seed-42 AXAR fit (6/16/16/1,
+    /// asymmetric loss, L2 and clipping) must keep these exact bits.
+    #[test]
+    fn golden_axar_bits() {
+        let mut m = Machine::new(MachineConfig::tartan());
+        let sw = SoftwareConfig::approximable().effective(m.config());
+        let bot = FlyBot::new(&mut m, sw, Scale::small(), 42);
+        let mlp = bot
+            .axar_mlp
+            .as_ref()
+            .expect("approximable software trains AXAR")
+            .fingerprint();
+        assert_eq!(
+            mlp, 0x34f9_639d_862a_3b5b,
+            "trained AXAR model changed: {mlp:#018x}"
+        );
+    }
 }

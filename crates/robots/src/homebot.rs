@@ -438,4 +438,23 @@ mod tests {
         assert!(err_trap < 0.4, "TRAP error {err_trap}");
         assert!(err_exact < err_trap, "exact {err_exact} vs TRAP {err_trap}");
     }
+
+    /// Golden bit-identity: the small-scale, seed-42 TRAP fit (192/32/32/6,
+    /// MSE, 200 samples so the last minibatch holds 8) must keep these
+    /// exact bits.
+    #[test]
+    fn golden_trap_bits() {
+        let mut m = Machine::new(MachineConfig::tartan());
+        let sw = SoftwareConfig::approximable().effective(m.config());
+        let bot = HomeBot::new(&mut m, sw, Scale::small(), 42);
+        let mlp = bot
+            .trap_mlp
+            .as_ref()
+            .expect("approximable software trains TRAP")
+            .fingerprint();
+        assert_eq!(
+            mlp, 0x19ff_10b1_8912_8cfb,
+            "trained TRAP model changed: {mlp:#018x}"
+        );
+    }
 }

@@ -243,4 +243,24 @@ mod tests {
         let sw_exec = run(NeuralExec::Software);
         assert!(hw < sw_exec, "NPU {hw} vs software {sw_exec}");
     }
+
+    /// Golden bit-identity: the small-scale, seed-42 detector (PCA to 12
+    /// components, then a 12/256/128/1 BCE fit) must keep these exact bits
+    /// across trainer and PCA kernel changes, in debug and release builds.
+    #[test]
+    fn golden_detector_bits() {
+        let mut m = Machine::new(MachineConfig::tartan());
+        let sw = SoftwareConfig::approximable().effective(m.config());
+        let bot = PatrolBot::new(&mut m, sw, Scale::small(), 42);
+        let pca = bot.classifier.pca().fingerprint();
+        let mlp = bot.classifier.mlp().fingerprint();
+        assert_eq!(
+            pca, 0x0ee2_1a76_3c82_33e8,
+            "PCA components changed: {pca:#018x}"
+        );
+        assert_eq!(
+            mlp, 0xb4cd_4b19_fa43_8518,
+            "trained detector changed: {mlp:#018x}"
+        );
+    }
 }
