@@ -30,7 +30,7 @@ use tartan_core::{run_robot, ExperimentParams, RunOutcome};
 use tartan_par as par;
 use tartan_robots::Scale;
 use tartan_scenario::json::{parse as parse_json, JsonValue};
-use tartan_scenario::{Plan, RunParams, ScenarioError, ScenarioSpec};
+use tartan_scenario::{Plan, ScenarioError, ScenarioSpec};
 use tartan_store::{sha256_hex, ResultStore, StoreCounts, StoreError};
 use tartan_telemetry::{
     push_str, stats_export_json, CampaignPhase, Counter, Heartbeat, JobFailureStats, JobSpan,
@@ -71,7 +71,7 @@ impl Campaign {
     /// Whatever [`ScenarioSpec::expand`] reports, with field-path context.
     pub fn from_spec(spec: ScenarioSpec) -> Result<Campaign, ScenarioError> {
         let plan = spec.expand()?;
-        let params: ExperimentParams = spec.base_params().into();
+        let params = spec.base_params();
         Ok(Campaign { spec, plan, params })
     }
 
@@ -91,7 +91,8 @@ impl Campaign {
 /// Execution options shared by every campaign in a batch.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
-    /// Host worker threads; `0` means [`par::default_jobs`].
+    /// Host worker threads (`0` is treated as 1). Exports are
+    /// byte-identical at any count.
     pub jobs: usize,
     /// Attempts per job (≥ 1); panics are isolated per attempt.
     pub retries: u32,
@@ -116,7 +117,7 @@ pub struct CampaignOptions {
 impl Default for CampaignOptions {
     fn default() -> CampaignOptions {
         CampaignOptions {
-            jobs: 0,
+            jobs: 1,
             retries: 1,
             watchdog: None,
             store: None,
@@ -181,11 +182,10 @@ impl JobSet {
         let mut unit_of: Vec<Vec<usize>> = Vec::with_capacity(campaigns.len());
         let mut total_jobs = 0usize;
         for (ci, campaign) in campaigns.iter().enumerate() {
-            let run_params: RunParams = campaign.params.into();
             let mut indices = Vec::with_capacity(campaign.plan.jobs.len());
             for (ji, job) in campaign.plan.jobs.iter().enumerate() {
                 total_jobs += 1;
-                let key = sha256_hex(job.cache_key_text(&run_params).as_bytes());
+                let key = sha256_hex(job.cache_key_text(&campaign.params).as_bytes());
                 let unit = *by_key.entry(key.clone()).or_insert_with(|| {
                     units.push(ExecUnit {
                         key,
@@ -809,13 +809,9 @@ impl Engine {
         let completed = AtomicUsize::new(0);
         clock.mark("plan");
 
-        let jobs = if opts.jobs == 0 {
-            par::default_jobs()
-        } else {
-            opts.jobs
-        };
+        let jobs = opts.jobs.max(1);
         // Worker count the pool will actually use — also the trace's tracks.
-        let workers = jobs.max(1).min(units.len().max(1));
+        let workers = jobs.min(units.len().max(1));
         let registry = MetricsRegistry::new();
         registry
             .gauge("campaign.total_jobs")
@@ -1107,8 +1103,9 @@ pub fn render_exports(
 
 /// Runs every planned job of `spec` through the engine at exactly
 /// `params`, returning full outcomes in plan order — the contract the
-/// figure harnesses and the legacy `run_campaign` relied on. Uses
-/// [`par::default_jobs`] host threads.
+/// figure harnesses rely on. Runs on one host thread
+/// ([`CampaignOptions::default`]); the exports would be byte-identical at
+/// any count.
 ///
 /// # Panics
 ///

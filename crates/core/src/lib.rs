@@ -6,10 +6,11 @@
 //!
 //! The figure/table drivers that consume these runs live one layer up, in
 //! `tartan-campaign` (`experiments`): they expand the checked-in scenario
-//! manifests and execute them through the campaign engine. This crate
-//! stays at the single-run level — [`run_robot`] plus the
-//! [`overhead`] area/power model — so the scenario and campaign layers
-//! can both link it without cycles.
+//! manifests and execute them through the campaign engine, the only
+//! executor the library has. This crate stays at the single-run level —
+//! [`run_robot`] plus the [`overhead`] area/power model — and runs nothing
+//! in parallel itself. [`ExperimentParams`] is the scenario layer's type,
+//! re-exported here so a run's parameters are defined once.
 //!
 //! # Examples
 //!
@@ -28,10 +29,10 @@
 pub mod overhead;
 pub mod runner;
 
-pub use runner::{
-    run_campaign, run_campaign_with_jobs, run_robot, CampaignJob, ExperimentParams, RunOutcome,
-};
+pub use runner::{run_robot, RunOutcome};
 
 pub use tartan_robots::{NeuralExec, NnsKind, RobotKind, Scale, SoftwareConfig};
-pub use tartan_scenario::{ConfigId, Plan, PlannedJob, RunParams, ScenarioError, ScenarioSpec};
+pub use tartan_scenario::{
+    ConfigId, ExperimentParams, Plan, PlannedJob, ScenarioError, ScenarioSpec,
+};
 pub use tartan_sim::{FcpConfig, FcpManipulation, MachineConfig, NpuMode, PrefetcherKind};

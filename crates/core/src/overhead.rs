@@ -1,7 +1,7 @@
 //! Table IV: Tartan's area and storage overhead breakdown.
 //!
 //! Logic-area constants come from the paper's cited 14 nm datapoints
-//! ([78], [154]); SRAM figures come from the live models (ANL metadata
+//! (\[78\], \[154\]); SRAM figures come from the live models (ANL metadata
 //! table, NPU area model). The host is the paper's 133 mm² mobile die.
 
 use tartan_npu::NpuAreaModel;

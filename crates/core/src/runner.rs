@@ -1,76 +1,13 @@
 //! The experiment runner: builds a machine + robot, runs the pipeline, and
 //! snapshots everything the figures need.
 
-use tartan_robots::{RobotKind, Scale, SoftwareConfig};
-use tartan_scenario::{ConfigId, RunParams};
+use tartan_robots::{RobotKind, SoftwareConfig};
+use tartan_scenario::{ConfigId, ExperimentParams};
 use tartan_sim::telemetry::{
     CacheCounters, FaultCounters, PhaseEntry, Report, ReportBuilder, RobotRunStats, ScopeCounters,
     SupervisionCounters,
 };
 use tartan_sim::{CacheStats, FaultStats, Machine, MachineConfig, MachineStats};
-
-/// Sizing knobs shared by all experiments.
-#[derive(Debug, Clone, Copy)]
-pub struct ExperimentParams {
-    /// Workload scale.
-    pub scale: Scale,
-    /// Pipeline periods per run.
-    pub steps: usize,
-    /// Base RNG seed.
-    pub seed: u64,
-}
-
-impl ExperimentParams {
-    /// Fast parameters for tests.
-    pub fn quick() -> Self {
-        ExperimentParams {
-            scale: Scale::small(),
-            steps: 2,
-            seed: 42,
-        }
-    }
-
-    /// The scale the figure harnesses use.
-    pub fn paper() -> Self {
-        ExperimentParams {
-            scale: Scale::paper(),
-            steps: 3,
-            seed: 42,
-        }
-    }
-
-    /// Parameters for coverage probes: the tiny [`Scale::probe`]
-    /// workloads and a single pipeline period, so the scenario
-    /// synthesizer can afford hundreds of runs. Not meaningful for
-    /// figures — regimes, not magnitudes.
-    pub fn probe() -> Self {
-        ExperimentParams {
-            scale: Scale::probe(),
-            steps: 1,
-            seed: 42,
-        }
-    }
-}
-
-impl From<RunParams> for ExperimentParams {
-    fn from(p: RunParams) -> Self {
-        ExperimentParams {
-            scale: p.scale,
-            steps: p.steps,
-            seed: p.seed,
-        }
-    }
-}
-
-impl From<ExperimentParams> for RunParams {
-    fn from(p: ExperimentParams) -> Self {
-        RunParams {
-            scale: p.scale,
-            steps: p.steps,
-            seed: p.seed,
-        }
-    }
-}
 
 /// Everything a figure needs from one run.
 #[derive(Debug, Clone)]
@@ -263,35 +200,6 @@ pub fn run_robot(
     }
 }
 
-/// One (robot, hardware, software) combination in a campaign job list.
-pub type CampaignJob = (RobotKind, MachineConfig, SoftwareConfig);
-
-/// Runs an independent job list through [`run_robot`] on up to
-/// [`tartan_par::default_jobs`] host threads, returning outcomes **in job
-/// order**.
-///
-/// Each simulation is deterministic and self-contained (its own `Machine`,
-/// its own seeded RNG), so the outcome vector — and every stats/CSV/JSON
-/// export derived from it — is byte-identical whatever the job count. All
-/// figure harnesses, the tier-1 bench, and the fault campaigns fan out
-/// through here; see `DESIGN.md` §12 for the determinism argument.
-pub fn run_campaign(jobs: &[CampaignJob], params: &ExperimentParams) -> Vec<RunOutcome> {
-    run_campaign_with_jobs(tartan_par::default_jobs(), jobs, params)
-}
-
-/// [`run_campaign`] with an explicit host-thread count (used by the
-/// determinism regression tests to compare `jobs = 1` against `jobs = N`
-/// directly, without touching the process-wide default).
-pub fn run_campaign_with_jobs(
-    host_jobs: usize,
-    jobs: &[CampaignJob],
-    params: &ExperimentParams,
-) -> Vec<RunOutcome> {
-    tartan_par::par_map(host_jobs, jobs, |(kind, hw, sw)| {
-        run_robot(*kind, hw.clone(), *sw, params)
-    })
-}
-
 /// Geometric mean of an iterator of positive numbers.
 pub fn gmean(values: impl IntoIterator<Item = f64>) -> f64 {
     let mut log_sum = 0.0;
@@ -348,39 +256,6 @@ mod tests {
         }
         .to_json();
         tartan_sim::telemetry::validate_stats_json(&json).unwrap();
-    }
-
-    #[test]
-    fn campaign_outcomes_arrive_in_job_order_for_any_job_count() {
-        let params = ExperimentParams::quick();
-        let jobs: Vec<CampaignJob> = vec![
-            (
-                RobotKind::DeliBot,
-                MachineConfig::upgraded_baseline(),
-                SoftwareConfig::legacy(),
-            ),
-            (
-                RobotKind::DeliBot,
-                MachineConfig::tartan(),
-                SoftwareConfig::approximable(),
-            ),
-            (
-                RobotKind::CarriBot,
-                MachineConfig::tartan(),
-                SoftwareConfig::optimized(),
-            ),
-        ];
-        let seq = run_campaign_with_jobs(1, &jobs, &params);
-        let par = run_campaign_with_jobs(4, &jobs, &params);
-        assert_eq!(seq.len(), 3);
-        assert_eq!(seq[0].robot, "DeliBot");
-        assert_eq!(seq[2].robot, "CarriBot");
-        for (s, p) in seq.iter().zip(&par) {
-            assert_eq!(s.robot, p.robot);
-            assert_eq!(s.wall_cycles, p.wall_cycles);
-            assert_eq!(s.stats, p.stats);
-            assert_eq!(s.quality.to_bits(), p.quality.to_bits());
-        }
     }
 
     #[test]

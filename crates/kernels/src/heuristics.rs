@@ -158,7 +158,7 @@ impl FlyHeuristic {
 
     /// Exact evaluation (timed): the expensive CPU version. Each sample
     /// pays three wind loads, the headwind/drag arithmetic, and the
-    /// drag-equilibrium Newton refinement ([83]-style per-step
+    /// drag-equilibrium Newton refinement (\[83\]-style per-step
     /// optimization) that makes this heuristic dominate FlyBot's time.
     pub fn eval_exact(&self, p: &mut Proc<'_>, wind: &WindField, state: usize) -> f32 {
         let s = self.coords(state);

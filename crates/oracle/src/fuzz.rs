@@ -324,10 +324,11 @@ pub fn shrink(case: &FuzzCase, mutation: Option<Mutation>) -> FuzzCase {
     let mut best = case.clone();
 
     // Pass 1: chunked op deletion down to a 1-minimal op list, via the
-    // shared greedy loop (`crate::shrink`). The config stays fixed while
-    // ops shrink; an empty op list is never interesting.
+    // shared greedy loop (`tartan_telemetry::greedy_min_subset`). The
+    // config stays fixed while ops shrink; an empty op list is never
+    // interesting.
     let template = best.clone();
-    best.ops = crate::shrink::greedy_min_subset(&best.ops, |ops| {
+    best.ops = tartan_telemetry::greedy_min_subset(&best.ops, |ops| {
         if ops.is_empty() {
             return false;
         }

@@ -38,11 +38,9 @@ pub mod corpus;
 pub mod fuzz;
 pub mod golden;
 pub mod rng;
-pub mod shrink;
 pub mod trace;
 
 pub use fuzz::{generate, run_case, FuzzCase, Op};
-pub use shrink::greedy_min_subset;
 pub use golden::{GoldenHierarchy, Mutation, Request};
 pub use rng::XorShift;
 pub use trace::{replay, CaptureSink, Decision, Divergence, DivergenceKind, GoldenTotals};

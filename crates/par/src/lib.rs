@@ -2,14 +2,14 @@
 
 //! Deterministic host-level parallelism for simulation campaigns.
 //!
-//! Every figure harness, fault campaign, fuzz run, and the tier-1 bench
-//! executes a (robot × config × seed) matrix of *independent,
-//! deterministic* simulations. This crate fans those jobs out across host
-//! cores with nothing but `std`:
+//! Every figure harness, campaign, fuzz run, and the tier-1 bench executes
+//! a (robot × config × seed) matrix of *independent, deterministic*
+//! simulations. This crate fans those jobs out across host cores with
+//! nothing but `std`, through one pool, [`try_par_map_indexed_observed`]:
 //!
-//! * **Scoped worker pool** — [`par_map`]/[`par_map_indexed`] spawn at most
-//!   `jobs` workers inside [`std::thread::scope`], so borrowed job data
-//!   needs no `'static` bound and no reference counting.
+//! * **Scoped worker pool** — at most `jobs` workers run inside
+//!   [`std::thread::scope`], so borrowed job data needs no `'static` bound
+//!   and no reference counting.
 //! * **Deterministic job list** — workers pull indices from one atomic
 //!   counter (work-conserving: a slow simulation never idles the other
 //!   cores), but every result lands in the slot of its *submission index*.
@@ -19,29 +19,28 @@
 //! * **Sequential fast path** — `jobs <= 1` (or a single job) runs inline
 //!   on the caller's thread: no spawn, no locks, bit-identical by
 //!   construction.
-//! * **Fault isolation** — [`try_par_map`]/[`try_par_map_indexed`] wrap
-//!   each job in [`std::panic::catch_unwind`], so one panicking job yields
-//!   a structured [`JobFailure`] in its slot while every other job still
-//!   completes and returns its result. A [`RetryPolicy`] adds bounded
-//!   per-job retries with linear backoff and an optional watchdog timeout
-//!   that *flags* (never kills) jobs running past their deadline.
-//! * **Lifecycle observability** — [`try_par_map_indexed_observed`] taps
-//!   every claimed/started/retried/slow/panicked/done transition (with
-//!   per-job host nanoseconds and worker ids) through a [`JobObserver`],
-//!   feeding the campaign progress/metrics layer without changing any
-//!   result.
+//! * **Fault isolation** — each job runs under [`std::panic::catch_unwind`],
+//!   so one panicking job yields a structured [`JobFailure`] in its slot
+//!   while every other job still completes and returns its result. A
+//!   [`RetryPolicy`] adds bounded per-job retries with linear backoff and
+//!   an optional watchdog timeout that *flags* (never kills) jobs running
+//!   past their deadline.
+//! * **Lifecycle observability** — a [`JobObserver`] taps every
+//!   claimed/started/retried/slow/panicked/done transition (with per-job
+//!   host nanoseconds and worker ids), feeding the campaign
+//!   progress/metrics layer without changing any result.
 //!
-//! The process-wide default job count ([`default_jobs`]/[`set_default_jobs`])
-//! lets deep call sites — the per-figure experiment drivers — pick up a
-//! `--jobs` flag parsed at the CLI edge without threading a parameter
-//! through every signature. It defaults to 1: parallelism is strictly
-//! opt-in, so library users and tests see sequential behavior unless they
-//! ask otherwise.
+//! [`par_map`] is the one infallible wrapper over that pool, for callers
+//! that map a slice and treat any failure as fatal: it re-raises the first
+//! failed job on the caller's thread as `job {i} panicked: {message}`,
+//! whatever the job count. There is no process-wide job count: every
+//! caller passes `jobs` explicitly.
 //!
 //! # Examples
 //!
 //! ```
-//! let squares = tartan_par::par_map_indexed(4, 8, |i| i * i);
+//! let items: Vec<usize> = (0..8).collect();
+//! let squares = tartan_par::par_map(4, &items, |&i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
@@ -50,26 +49,11 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Process-wide default for [`default_jobs`]; 1 = sequential.
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(1);
-
 /// Number of host cores available to this process (≥ 1).
 pub fn available_jobs() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Sets the process-wide default job count used by [`default_jobs`] (and
-/// through it the experiment drivers). Clamped to ≥ 1.
-pub fn set_default_jobs(jobs: usize) {
-    DEFAULT_JOBS.store(jobs.max(1), Ordering::SeqCst);
-}
-
-/// The process-wide default job count. 1 (sequential) unless a CLI edge
-/// called [`set_default_jobs`].
-pub fn default_jobs() -> usize {
-    DEFAULT_JOBS.load(Ordering::SeqCst)
 }
 
 /// Parses a `--jobs N` / `--jobs=N` flag out of an argument list,
@@ -102,60 +86,31 @@ pub fn parse_jobs_flag(args: &[String]) -> Result<(usize, Vec<String>), String> 
     Ok((jobs, rest))
 }
 
-/// Runs `count` independent jobs `f(0) .. f(count - 1)` on up to `jobs`
-/// worker threads and returns their results **in submission order**.
+/// Maps `f` over `items` on up to `jobs` worker threads and returns the
+/// results **in item order**, through [`try_par_map_indexed_observed`]
+/// with the default [`RetryPolicy`] and no observer.
 ///
-/// `f` must be a pure function of its index (plus captured shared state)
+/// `f` must be a pure function of its item (plus captured shared state)
 /// for the parallel result to equal the sequential one; every caller in
-/// this workspace passes a deterministic simulation. Panics in `f` are
-/// propagated to the caller once all workers have stopped.
-pub fn par_map_indexed<T, F>(jobs: usize, count: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let jobs = jobs.max(1).min(count);
-    if jobs <= 1 {
-        return (0..count).map(f).collect();
-    }
-    // One slot per submission index. Workers race on *which* jobs they run,
-    // never on *where* results go, so collection order is deterministic.
-    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let result = f(i);
-                // Recover from poisoning: if a sibling worker panicked while
-                // holding a lock, the stored value is still intact — taking
-                // it keeps one job failure from masquerading as another's.
-                *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                .expect("every job index was claimed by exactly one worker")
-        })
-        .collect()
-}
-
-/// [`par_map_indexed`] over a slice of job descriptions: returns
-/// `f(&items[0]) .. f(&items[n-1])` in item order.
+/// this workspace passes a deterministic simulation.
+///
+/// # Panics
+///
+/// If any job panicked: once every job has finished, the first failure
+/// in item order is re-raised on the caller's thread as
+/// `job {i} panicked: {message}`.
 pub fn par_map<I, T, F>(jobs: usize, items: &[I], f: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
     F: Fn(&I) -> T + Sync,
 {
-    par_map_indexed(jobs, items.len(), |i| f(&items[i]))
+    let policy = RetryPolicy::default();
+    try_par_map_indexed_observed(jobs, items.len(), &policy, &NoopObserver, |i| f(&items[i]))
+        .results
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("job {} panicked: {}", e.index, e.message)))
+        .collect()
 }
 
 /// Observer for per-job lifecycle events inside a fault-isolated campaign
@@ -207,8 +162,7 @@ pub trait JobObserver: Sync {
     }
 }
 
-/// A [`JobObserver`] that ignores every event — the default for the
-/// unobserved entry points.
+/// A [`JobObserver`] that ignores every event — what [`par_map`] passes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 
@@ -226,7 +180,7 @@ pub struct JobFailure {
     pub message: String,
 }
 
-/// Failure-handling policy for [`try_par_map_indexed`].
+/// Failure-handling policy for [`try_par_map_indexed_observed`].
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Maximum attempts per job (≥ 1; 1 = no retry).
@@ -348,31 +302,16 @@ where
     )
 }
 
-/// Fault-isolated [`par_map_indexed`]: runs `count` jobs on up to `jobs`
-/// workers, isolating each job with [`catch_unwind`]. A panicking job
-/// records a [`JobFailure`] in its submission-order slot — it never aborts
-/// the pool, and every other job still completes. Retries and the watchdog
-/// timeout come from `policy`.
+/// Runs `count` jobs `f(0) .. f(count - 1)` on up to `jobs` workers,
+/// isolating each job with [`catch_unwind`]. A panicking job records a
+/// [`JobFailure`] in its submission-order slot — it never aborts the pool,
+/// and every other job still completes. Retries and the watchdog timeout
+/// come from `policy`.
 ///
 /// Results (and failures) land in submission order, so successful entries
-/// are byte-identical to what a sequential run would produce.
-pub fn try_par_map_indexed<T, F>(
-    jobs: usize,
-    count: usize,
-    policy: &RetryPolicy,
-    f: F,
-) -> TryReport<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    try_par_map_indexed_observed(jobs, count, policy, &NoopObserver, f)
-}
-
-/// [`try_par_map_indexed`] with per-job lifecycle events delivered to
-/// `observer` (see [`JobObserver`] for the event order). The observer is
-/// purely a tap: results, ordering, and failure handling are identical to
-/// the unobserved call.
+/// are byte-identical to what a sequential run would produce. Per-job
+/// lifecycle events go to `observer` (see [`JobObserver`] for the event
+/// order); the observer is purely a tap and never changes a result.
 pub fn try_par_map_indexed_observed<T, F, O>(
     jobs: usize,
     count: usize,
@@ -489,18 +428,6 @@ where
     }
 }
 
-/// Fault-isolated [`par_map`] with the default [`RetryPolicy`] (single
-/// attempt, no watchdog): one panicking item yields a [`JobFailure`] in
-/// its slot while every other item's result is still returned.
-pub fn try_par_map<I, T, F>(jobs: usize, items: &[I], f: F) -> TryReport<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    try_par_map_indexed(jobs, items.len(), &RetryPolicy::default(), |i| f(&items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,7 +435,8 @@ mod tests {
     #[test]
     fn preserves_submission_order() {
         // Make early jobs slow so completion order inverts submission order.
-        let out = par_map_indexed(4, 16, |i| {
+        let items: Vec<usize> = (0..16).collect();
+        let out = par_map(4, &items, |&i| {
             if i < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(20 - 4 * i as u64));
             }
@@ -519,17 +447,18 @@ mod tests {
 
     #[test]
     fn parallel_equals_sequential() {
-        let work = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9).rotate_left(7);
-        let seq = par_map_indexed(1, 100, work);
+        let work = |&i: &usize| (i as u64).wrapping_mul(0x9E37_79B9).rotate_left(7);
+        let items: Vec<usize> = (0..100).collect();
+        let seq = par_map(1, &items, work);
         for jobs in [2, 3, 4, 8, 100, 1000] {
-            assert_eq!(par_map_indexed(jobs, 100, work), seq, "jobs = {jobs}");
+            assert_eq!(par_map(jobs, &items, work), seq, "jobs = {jobs}");
         }
     }
 
     #[test]
     fn empty_and_single_job_lists() {
-        assert_eq!(par_map_indexed(4, 0, |i| i), Vec::<usize>::new());
-        assert_eq!(par_map_indexed(4, 1, |i| i + 7), vec![7]);
+        assert_eq!(par_map(4, &[] as &[usize], |&i| i), Vec::<usize>::new());
+        assert_eq!(par_map(4, &[0usize], |&i| i + 7), vec![7]);
     }
 
     #[test]
@@ -543,19 +472,32 @@ mod tests {
     fn every_job_runs_exactly_once() {
         use std::sync::atomic::AtomicU64;
         let runs: Vec<AtomicU64> = (0..64).map(|_| AtomicU64::new(0)).collect();
-        par_map_indexed(8, 64, |i| runs[i].fetch_add(1, Ordering::SeqCst));
+        let items: Vec<usize> = (0..64).collect();
+        par_map(8, &items, |&i| runs[i].fetch_add(1, Ordering::SeqCst));
         for (i, r) in runs.iter().enumerate() {
             assert_eq!(r.load(Ordering::SeqCst), 1, "job {i}");
         }
     }
 
     #[test]
-    fn default_jobs_round_trips() {
-        assert_eq!(default_jobs(), 1);
-        set_default_jobs(6);
-        assert_eq!(default_jobs(), 6);
-        set_default_jobs(0); // clamped
-        assert_eq!(default_jobs(), 1);
+    fn par_map_reraises_a_failed_job_with_its_index_and_message() {
+        let items: Vec<usize> = (0..8).collect();
+        for jobs in [1, 4] {
+            let payload = catch_unwind(|| {
+                par_map(jobs, &items, |&i| {
+                    if i == 3 {
+                        panic!("boom {i}");
+                    }
+                    i
+                })
+            })
+            .unwrap_err();
+            assert_eq!(
+                panic_message(payload.as_ref()),
+                "job 3 panicked: boom 3",
+                "jobs = {jobs}"
+            );
+        }
     }
 
     #[test]
@@ -610,13 +552,12 @@ mod tests {
         assert!(err.contains("bad --jobs"), "got: {err}");
     }
 
-    // Satellite regression: one panicking job under try_par_map must still
-    // yield every other job's result — no pool-wide abort, no poisoned-slot
-    // panic.
+    // One panicking job must still yield every other job's result — no
+    // pool-wide abort, no poisoned-slot panic.
     #[test]
     fn one_panicking_job_spares_the_rest() {
-        let items: Vec<usize> = (0..32).collect();
-        let report = try_par_map(4, &items, |&i| {
+        let policy = RetryPolicy::default();
+        let report = try_par_map_indexed_observed(4, 32, &policy, &NoopObserver, |i| {
             if i == 13 {
                 panic!("injected failure in job {i}");
             }
@@ -642,7 +583,8 @@ mod tests {
     fn k_failures_leave_n_minus_k_results() {
         let bad = [3usize, 7, 8, 20];
         for jobs in [1, 4] {
-            let report = try_par_map_indexed(jobs, 24, &RetryPolicy::default(), |i| {
+            let policy = RetryPolicy::default();
+            let report = try_par_map_indexed_observed(jobs, 24, &policy, &NoopObserver, |i| {
                 if bad.contains(&i) {
                     panic!("boom {i}");
                 }
@@ -668,7 +610,7 @@ mod tests {
             backoff: Duration::from_millis(1),
             watchdog: None,
         };
-        let report = try_par_map_indexed(2, 8, &policy, |i| {
+        let report = try_par_map_indexed_observed(2, 8, &policy, &NoopObserver, |i| {
             // Every job fails its first two attempts, succeeds on the third.
             if tries[i].fetch_add(1, Ordering::SeqCst) < 2 {
                 panic!("transient {i}");
@@ -691,7 +633,7 @@ mod tests {
             backoff: Duration::ZERO,
             watchdog: None,
         };
-        let report = try_par_map_indexed(1, 1, &policy, |_| -> usize {
+        let report = try_par_map_indexed_observed(1, 1, &policy, &NoopObserver, |_| -> usize {
             tries.fetch_add(1, Ordering::SeqCst);
             panic!("always fails");
         });
@@ -709,7 +651,7 @@ mod tests {
             watchdog: Some(Duration::from_millis(10)),
         };
         for jobs in [1, 3] {
-            let report = try_par_map_indexed(jobs, 6, &policy, |i| {
+            let report = try_par_map_indexed_observed(jobs, 6, &policy, &NoopObserver, |i| {
                 if i == 2 {
                     std::thread::sleep(Duration::from_millis(40));
                 }
@@ -731,7 +673,8 @@ mod tests {
 
     #[test]
     fn try_results_preserve_submission_order() {
-        let report = try_par_map_indexed(4, 16, &RetryPolicy::default(), |i| {
+        let policy = RetryPolicy::default();
+        let report = try_par_map_indexed_observed(4, 16, &policy, &NoopObserver, |i| {
             if i < 4 {
                 std::thread::sleep(Duration::from_millis(20 - 4 * i as u64));
             }
@@ -748,7 +691,7 @@ mod tests {
     #[test]
     fn try_empty_job_list() {
         let report =
-            try_par_map_indexed(4, 0, &RetryPolicy::default(), |i| i);
+            try_par_map_indexed_observed(4, 0, &RetryPolicy::default(), &NoopObserver, |i| i);
         assert!(report.results.is_empty());
         assert!(report.slow.is_empty());
         assert!(report.attempts.is_empty());
@@ -764,7 +707,7 @@ mod tests {
             backoff: Duration::ZERO,
             watchdog: None,
         };
-        let report = try_par_map_indexed(2, 6, &policy, |i| {
+        let report = try_par_map_indexed_observed(2, 6, &policy, &NoopObserver, |i| {
             // Job 2 needs two attempts, job 4 fails all three.
             let t = tries[i].fetch_add(1, Ordering::SeqCst);
             if (i == 2 && t < 1) || i == 4 {
@@ -883,10 +826,10 @@ mod tests {
     #[test]
     fn observed_results_equal_unobserved() {
         let work = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9).rotate_left(9);
-        let plain = try_par_map_indexed(3, 40, &RetryPolicy::default(), work);
+        let plain =
+            try_par_map_indexed_observed(3, 40, &RetryPolicy::default(), &NoopObserver, work);
         let obs = CountingObserver::default();
-        let observed =
-            try_par_map_indexed_observed(3, 40, &RetryPolicy::default(), &obs, work);
+        let observed = try_par_map_indexed_observed(3, 40, &RetryPolicy::default(), &obs, work);
         let a: Vec<u64> = plain.results.into_iter().map(|r| r.unwrap()).collect();
         let b: Vec<u64> = observed.results.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(a, b);

@@ -713,8 +713,8 @@ impl ScenarioSpec {
 
     /// The scenario's stand-alone run parameters (defaults: `small` scale,
     /// 2 steps, seed 42 — the same quick defaults the test harnesses use).
-    pub fn base_params(&self) -> RunParams {
-        RunParams {
+    pub fn base_params(&self) -> ExperimentParams {
+        ExperimentParams {
             scale: self.params.base_scale(),
             steps: self.params.steps.unwrap_or(2) as usize,
             seed: self.params.seed.unwrap_or(42),
@@ -722,15 +722,48 @@ impl ScenarioSpec {
     }
 }
 
-/// Stand-alone run parameters resolved from a scenario.
+/// Sizing knobs shared by all experiments: what a scenario resolves to
+/// and what every run executes at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunParams {
+pub struct ExperimentParams {
     /// Workload scale (preset + adjustments).
     pub scale: Scale,
     /// Pipeline periods per job.
     pub steps: usize,
     /// Base RNG seed.
     pub seed: u64,
+}
+
+impl ExperimentParams {
+    /// Fast parameters for tests.
+    pub fn quick() -> Self {
+        ExperimentParams {
+            scale: Scale::small(),
+            steps: 2,
+            seed: 42,
+        }
+    }
+
+    /// The scale the figure harnesses use.
+    pub fn paper() -> Self {
+        ExperimentParams {
+            scale: Scale::paper(),
+            steps: 3,
+            seed: 42,
+        }
+    }
+
+    /// Parameters for coverage probes: the tiny [`Scale::probe`]
+    /// workloads and a single pipeline period, so the scenario
+    /// synthesizer can afford hundreds of runs. Not meaningful for
+    /// figures — regimes, not magnitudes.
+    pub fn probe() -> Self {
+        ExperimentParams {
+            scale: Scale::probe(),
+            steps: 1,
+            seed: 42,
+        }
+    }
 }
 
 /// One expanded, validated campaign job.

@@ -8,7 +8,7 @@
 //! * Numbers are stored as their **raw source text** ([`JsonValue::Num`]),
 //!   so a `u64` seed never detours through `f64` and back.
 //! * Rendering reuses the telemetry writer's escaping
-//!   ([`tartan_telemetry::json::push_str`]), so identical trees render to
+//!   ([`tartan_telemetry::push_str`]), so identical trees render to
 //!   byte-identical documents.
 
 use tartan_telemetry::push_str;

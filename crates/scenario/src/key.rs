@@ -22,7 +22,7 @@
 //! not force a re-simulation. CSV rows are rebuilt from the current plan's
 //! labels plus the cached numbers.
 
-use crate::expand::{PlannedJob, RunParams};
+use crate::expand::{ExperimentParams, PlannedJob};
 use crate::json::JsonValue;
 use crate::spec::{MachineSpec, SoftwareSpec};
 use tartan_robots::Scale;
@@ -88,7 +88,7 @@ impl PlannedJob {
     /// store. Deterministic: equal (job, params) pairs render equal text,
     /// and any semantic difference — robot, resolved machine or software
     /// configuration, scale, steps, or seed — renders different text.
-    pub fn cache_key_text(&self, params: &RunParams) -> String {
+    pub fn cache_key_text(&self, params: &ExperimentParams) -> String {
         JsonValue::Obj(vec![
             ("cache_key_version".into(), num(CACHE_KEY_VERSION)),
             (
@@ -130,7 +130,7 @@ mod tests {
         }]
     }"#;
 
-    fn plan_and_params() -> (crate::Plan, RunParams) {
+    fn plan_and_params() -> (crate::Plan, ExperimentParams) {
         let spec = ScenarioSpec::from_json(DOC).unwrap();
         let plan = spec.expand().unwrap();
         let params = spec.base_params();

@@ -45,7 +45,7 @@ pub mod synth;
 
 pub use error::ScenarioError;
 pub use expand::{
-    AxisSpec, GroupPlan, GroupSpec, Plan, PlannedJob, RobotsSpec, RunParams, ScenarioSpec,
+    AxisSpec, ExperimentParams, GroupPlan, GroupSpec, Plan, PlannedJob, RobotsSpec, ScenarioSpec,
     SweepOrder, VariantSpec,
 };
 pub use grammar::{Edit, Filling, Hole, Pattern};

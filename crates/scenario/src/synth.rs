@@ -16,7 +16,7 @@
 //!    contains an entry no earlier keeper produced (greedy set-cover
 //!    order, AFL-style "new coverage or it didn't happen").
 //! 4. **Shrink** — [`shrink_spec`] minimizes each keeper with the
-//!    oracle's ddmin loop ([`tartan_oracle::greedy_min_subset`]):
+//!    shared ddmin loop ([`tartan_telemetry::greedy_min_subset`]):
 //!    fewer groups/axes/variants/robots/adjusts, then smaller scale
 //!    multipliers and fewer steps — accepting a candidate only when it
 //!    still parses from its own rendered JSON, still expands, and
@@ -30,8 +30,7 @@ use std::collections::BTreeSet;
 use crate::expand::{RobotsSpec, ScenarioSpec};
 use crate::json::{parse, JsonValue};
 use crate::spec::AdjustOp;
-use tartan_oracle::greedy_min_subset;
-use tartan_telemetry::{CoverageFingerprint, RobotRunStats};
+use tartan_telemetry::{greedy_min_subset, CoverageFingerprint, RobotRunStats};
 
 /// Version of the `corpus_manifest.json` schema.
 ///

@@ -30,6 +30,8 @@
 //! * **Coverage fingerprints** ([`CoverageFingerprint`]) — bucketed
 //!   behavioral regimes extracted from [`RobotRunStats`], the novelty
 //!   signal behind the coverage-guided scenario synthesizer.
+//! * **Shrinking** ([`greedy_min_subset`]) — the deterministic ddmin loop
+//!   the oracle's fuzzer and the scenario synthesizer both minimize with.
 //!
 //! The crate is deliberately dependency-free so every other workspace
 //! crate — including `tartan-sim` at the bottom of the stack — can link
@@ -45,6 +47,7 @@ mod hist;
 mod json;
 mod metrics;
 mod report;
+mod shrink;
 mod sink;
 mod stats;
 
@@ -60,6 +63,7 @@ pub use event::{CacheOutcome, Event, FaultSite, Interest, Level};
 pub use hist::{Histogram, SAMPLE_CAP};
 pub use json::{push_f64, push_str, validate_json};
 pub use report::{PhaseNode, Report, ReportBuilder, ScopeCounters};
+pub use shrink::greedy_min_subset;
 pub use sink::{
     shared, CountingSink, FaultCounts, JsonLinesSink, LevelCounts, RingBufferSink, SharedSink,
     Sink, TeeSink,

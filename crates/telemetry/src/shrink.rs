@@ -1,7 +1,8 @@
-//! Generic greedy delta-debugging: the chunked-deletion loop the fuzzer
-//! shrinks reproducers with, extracted so other layers (the scenario
-//! synthesizer's corpus minimizer, most notably) can reuse it against
-//! their own "still interesting?" predicates.
+//! Generic greedy delta-debugging: the chunked-deletion loop the oracle's
+//! fuzzer shrinks reproducers with and the scenario synthesizer's corpus
+//! minimizer reuses, each against its own "still interesting?" predicate.
+//! It lives here, in the dependency-free base crate, so neither user has
+//! to link the other.
 //!
 //! The algorithm is the classic ddmin-style pass the fuzz driver has
 //! always run: try deleting chunks of the item list, halving the chunk

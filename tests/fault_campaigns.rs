@@ -4,16 +4,17 @@
 //! robot and compares quality bit-for-bit against the fault-free run.
 
 use proptest::prelude::*;
-use tartan::core::{
-    run_campaign_with_jobs, run_robot, CampaignJob, ExperimentParams, RobotKind, RunOutcome,
-    SoftwareConfig,
-};
+use tartan::core::{run_robot, ExperimentParams, RobotKind, RunOutcome, SoftwareConfig};
 use tartan::nn::{Mlp, Topology};
 use tartan::npu::SupervisedNpu;
+use tartan::par;
 use tartan::sim::telemetry::{shared, CountingSink};
 use tartan::sim::{FaultPlan, Machine, MachineConfig};
 
-fn job(kind: RobotKind, plan: Option<FaultPlan>) -> CampaignJob {
+/// One campaign job: (robot, hardware, software).
+type Job = (RobotKind, MachineConfig, SoftwareConfig);
+
+fn job(kind: RobotKind, plan: Option<FaultPlan>) -> Job {
     let mut hw = MachineConfig::tartan();
     hw.fault_plan = plan;
     let sw = SoftwareConfig::approximable().effective(&hw);
@@ -25,10 +26,12 @@ fn outcome(kind: RobotKind, plan: Option<FaultPlan>) -> RunOutcome {
     run_robot(kind, hw, sw, &ExperimentParams::quick())
 }
 
-/// Fans a campaign matrix across host workers; an explicit job count keeps
-/// the tests independent of the process-global default.
-fn campaign(jobs: &[CampaignJob]) -> Vec<RunOutcome> {
-    run_campaign_with_jobs(4, jobs, &ExperimentParams::quick())
+/// Fans a campaign matrix across four host workers.
+fn campaign(jobs: &[Job]) -> Vec<RunOutcome> {
+    let params = ExperimentParams::quick();
+    par::par_map(4, jobs, |(k, hw, sw)| {
+        run_robot(*k, hw.clone(), *sw, &params)
+    })
 }
 
 /// The NPU-carrying robots — the ones accelerator faults can reach.
@@ -36,7 +39,7 @@ const NPU_ROBOTS: [RobotKind; 3] = [RobotKind::PatrolBot, RobotKind::HomeBot, Ro
 
 #[test]
 fn zero_rate_plans_are_bit_identical_to_no_plan() {
-    let jobs: Vec<CampaignJob> = NPU_ROBOTS
+    let jobs: Vec<Job> = NPU_ROBOTS
         .iter()
         .flat_map(|&kind| [job(kind, None), job(kind, Some(FaultPlan::quiet(0xDEAD)))])
         .collect();
@@ -64,7 +67,7 @@ const SEVERITIES: [(f64, u64); 3] = [(0.1, 11), (0.5, 12), (0.9, 13)];
 #[test]
 fn escalating_accel_campaigns_never_change_quality() {
     // Per robot: the fault-free reference, then the escalation ladder.
-    let jobs: Vec<CampaignJob> = NPU_ROBOTS
+    let jobs: Vec<Job> = NPU_ROBOTS
         .iter()
         .flat_map(|&kind| {
             std::iter::once(job(kind, None)).chain(SEVERITIES.iter().map(move |&(severity, seed)| {
@@ -108,7 +111,7 @@ fn memory_spike_campaigns_slow_but_never_corrupt() {
     // Memory latency spikes are timing-only: injected, undetectable by
     // output supervision, and functionally harmless on every robot.
     let robots = [RobotKind::CarriBot, RobotKind::MoveBot];
-    let jobs: Vec<CampaignJob> = robots
+    let jobs: Vec<Job> = robots
         .iter()
         .flat_map(|&kind| {
             [

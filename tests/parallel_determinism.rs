@@ -4,72 +4,78 @@
 //! The engine's whole claim (DESIGN.md §12) is that workers race only over
 //! *which* job they pick up, never over where its result lands or what the
 //! simulation computes — every `run_robot` is self-contained and seeded.
-//! These tests pin that claim: a `jobs=4` campaign must produce
-//! bit-identical `StatsExport` JSON and identical per-run telemetry
+//! These tests pin that claim: a `jobs=4` campaign must render
+//! byte-identical `stats.json`/CSV exports and identical per-run telemetry
 //! counter totals to the same campaign at `jobs=1`.
 
 use std::collections::BTreeMap;
 
-use tartan::core::{
-    run_campaign_with_jobs, CampaignJob, ConfigId, ExperimentParams, MachineConfig, RobotKind,
-    SoftwareConfig,
+use tartan::campaign::{
+    render_exports, Campaign, CampaignOptions, CampaignSpec, Engine, PhaseClock,
 };
+use tartan::core::{ConfigId, MachineConfig, ScenarioSpec};
 use tartan::par;
-use tartan::sim::telemetry::{shared, CountingSink, StatsExport};
+use tartan::sim::telemetry::{shared, CountingSink};
 use tartan::sim::{Machine, MemPolicy};
 
 /// A bench_tier1-style matrix over the quicker robots: baseline and Tartan
 /// per robot (PatrolBot/CarriBot are left to the bench binary itself —
 /// they dominate wall time without adding scheduling variety).
-fn matrix() -> Vec<(ConfigId, CampaignJob)> {
-    let mut m = Vec::new();
-    for kind in [
-        RobotKind::DeliBot,
-        RobotKind::MoveBot,
-        RobotKind::HomeBot,
-        RobotKind::FlyBot,
-    ] {
-        m.push((
-            ConfigId::Baseline,
-            (
-                kind,
-                MachineConfig::upgraded_baseline(),
-                SoftwareConfig::legacy(),
-            ),
-        ));
-        m.push((
-            ConfigId::Tartan,
-            (kind, MachineConfig::tartan(), SoftwareConfig::approximable()),
-        ));
-    }
-    m
-}
+const MATRIX: &str = r#"{
+    "schema_version": 1,
+    "name": "parallel_determinism",
+    "groups": [{
+        "robots": ["DeliBot", "MoveBot", "HomeBot", "FlyBot"],
+        "axes": [{"variants": [
+            {"label": "baseline"},
+            {"label": "tartan",
+             "machine": {"preset": "tartan"},
+             "software": {"preset": "approximable"}}
+        ]}]
+    }]
+}"#;
 
-fn export_for(jobs: usize) -> StatsExport {
-    let matrix = matrix();
-    let campaign: Vec<CampaignJob> = matrix.iter().map(|(_, j)| j.clone()).collect();
-    let outcomes = run_campaign_with_jobs(jobs, &campaign, &ExperimentParams::quick());
-    StatsExport {
-        generator: "parallel_determinism".into(),
-        runs: matrix
-            .iter()
-            .zip(&outcomes)
-            .map(|((config, _), out)| out.to_run_stats(config))
-            .collect(),
-        failures: Vec::new(),
-    }
+/// Runs [`MATRIX`] through the campaign engine on `jobs` host workers and
+/// renders its `(stats.json, csv)` exports.
+fn exports_for(jobs: usize) -> (String, String) {
+    let spec = ScenarioSpec::from_json(MATRIX).expect("matrix parses");
+    let campaign = Campaign::from_spec(spec).expect("matrix expands");
+    let configs: Vec<ConfigId> = campaign
+        .plan
+        .jobs
+        .iter()
+        .map(|j| j.config.clone())
+        .collect();
+    assert_eq!(configs.len(), 8);
+    assert!(configs
+        .chunks_exact(2)
+        .all(|pair| pair == [ConfigId::Baseline, ConfigId::Tartan]));
+    let report = Engine::new(CampaignSpec {
+        campaigns: vec![campaign.clone()],
+        options: CampaignOptions {
+            jobs,
+            ..CampaignOptions::default()
+        },
+    })
+    .run(&mut PhaseClock::start(), None)
+    .expect("no store, so no store errors");
+    let result = &report.campaigns[0];
+    assert!(
+        result.failures.is_empty(),
+        "jobs = {jobs}: {:?}",
+        result.failures
+    );
+    render_exports("parallel_determinism", &campaign, result)
 }
 
 #[test]
 fn four_worker_campaign_exports_identical_stats_json() {
-    let sequential = export_for(1);
-    let parallel = export_for(4);
-    // Per-run struct equality first, for a readable diff on failure...
-    for (s, p) in sequential.runs.iter().zip(&parallel.runs) {
-        assert_eq!(s, p, "run {}/{} drifted under jobs=4", s.robot, s.config);
-    }
+    let (seq_stats, seq_csv) = exports_for(1);
+    let (par_stats, par_csv) = exports_for(4);
+    // The CSV first, for a readable per-row diff on failure...
+    assert_eq!(seq_csv, par_csv, "a run drifted under jobs=4");
     // ...then the real contract: the serialized export is byte-identical.
-    assert_eq!(sequential.to_json(), parallel.to_json());
+    assert_eq!(seq_stats, par_stats);
 }
 
 /// A small synthetic workload with telemetry counting attached: each job
@@ -100,7 +106,8 @@ fn counted_run(job_index: usize) -> (u64, BTreeMap<&'static str, u64>) {
 #[test]
 fn telemetry_counter_totals_match_across_job_counts() {
     let sequential: Vec<_> = (0..8).map(counted_run).collect();
-    let parallel = par::par_map_indexed(4, 8, counted_run);
+    let indices: Vec<usize> = (0..8).collect();
+    let parallel = par::par_map(4, &indices, |&i| counted_run(i));
     assert_eq!(sequential, parallel);
     // The workload must actually produce telemetry for this to mean much.
     assert!(sequential.iter().all(|(total, _)| *total > 0));

@@ -14,14 +14,19 @@
 
 use std::fs;
 
+use tartan::campaign::{
+    render_exports, Campaign, CampaignOptions, CampaignSpec, Engine, PhaseClock,
+};
 use tartan::core::experiments::{self, manifests};
 use tartan::core::{
-    run_campaign, run_campaign_with_jobs, CampaignJob, ExperimentParams, FcpConfig,
-    FcpManipulation, MachineConfig, NeuralExec, NnsKind, NpuMode, PrefetcherKind, RobotKind,
-    ScenarioSpec, SoftwareConfig,
+    run_robot, ExperimentParams, FcpConfig, FcpManipulation, MachineConfig, NeuralExec, NnsKind,
+    NpuMode, PrefetcherKind, RobotKind, ScenarioSpec, SoftwareConfig,
 };
+use tartan::par;
 use tartan::robots::VecMethod;
-use tartan::sim::telemetry::StatsExport;
+
+/// One hand-built legacy job: (robot, hardware, software).
+type LegacyJob = (RobotKind, MachineConfig, SoftwareConfig);
 
 fn plan_of(manifest: &str) -> tartan::core::Plan {
     ScenarioSpec::from_json(manifest)
@@ -36,7 +41,7 @@ fn plan_of(manifest: &str) -> tartan::core::Plan {
 fn assert_plan_matches(
     name: &str,
     manifest: &str,
-    legacy: &[CampaignJob],
+    legacy: &[LegacyJob],
     labels: Option<&[String]>,
 ) {
     let plan = plan_of(manifest);
@@ -88,7 +93,7 @@ fn every_scenario_file_on_disk_is_valid_and_embedded() {
 
 #[test]
 fn fig1_manifest_matches_legacy_matrix() {
-    let legacy: Vec<CampaignJob> = RobotKind::all()
+    let legacy: Vec<LegacyJob> = RobotKind::all()
         .into_iter()
         .flat_map(|kind| {
             [
@@ -114,7 +119,7 @@ fn fig6_manifest_matches_legacy_matrix() {
         ("R", VecMethod::Racod),
     ];
     let robots = [RobotKind::DeliBot, RobotKind::CarriBot];
-    let legacy: Vec<CampaignJob> = robots
+    let legacy: Vec<LegacyJob> = robots
         .into_iter()
         .flat_map(|kind| {
             METHODS.map(|(_, method)| {
@@ -138,7 +143,7 @@ fn fig7_manifest_matches_legacy_matrix() {
         ("I", false, true),
         ("O+I", true, true),
     ];
-    let legacy: Vec<CampaignJob> = CONFIGS
+    let legacy: Vec<LegacyJob> = CONFIGS
         .iter()
         .map(|&(_, ovec, intel)| {
             let mut hw = if ovec {
@@ -171,7 +176,7 @@ fn fig7_scenario_driver_output_is_byte_identical_to_legacy() {
         ("I", false, true),
         ("O+I", true, true),
     ];
-    let jobs: Vec<CampaignJob> = CONFIGS
+    let jobs: Vec<LegacyJob> = CONFIGS
         .iter()
         .map(|&(_, ovec, intel)| {
             let mut hw = if ovec {
@@ -188,7 +193,9 @@ fn fig7_scenario_driver_output_is_byte_identical_to_legacy() {
             (RobotKind::DeliBot, hw, sw)
         })
         .collect();
-    let outcomes = run_campaign(&jobs, &params);
+    let outcomes = par::par_map(1, &jobs, |(k, hw, sw)| {
+        run_robot(*k, hw.clone(), *sw, &params)
+    });
     let base = outcomes[0].bottleneck_cycles as f64;
     let legacy_rows: Vec<experiments::Fig7Row> = CONFIGS
         .iter()
@@ -205,7 +212,7 @@ fn fig7_scenario_driver_output_is_byte_identical_to_legacy() {
 
 #[test]
 fn table2_manifest_matches_legacy_matrix() {
-    let legacy: Vec<CampaignJob> = vec![
+    let legacy: Vec<LegacyJob> = vec![
         (
             RobotKind::FlyBot,
             MachineConfig::tartan(),
@@ -239,7 +246,7 @@ fn fig8_manifest_matches_legacy_matrix() {
         ("C", NpuMode::Coprocessor, NeuralExec::Npu),
     ];
     let robots = [RobotKind::PatrolBot, RobotKind::HomeBot, RobotKind::FlyBot];
-    let legacy: Vec<CampaignJob> = robots
+    let legacy: Vec<LegacyJob> = robots
         .into_iter()
         .flat_map(|kind| {
             ARRANGEMENTS.map(|(_, npu, neural)| {
@@ -261,7 +268,7 @@ fn fig8_manifest_matches_legacy_matrix() {
 fn table3_manifest_matches_legacy_matrix() {
     const PE_COUNTS: [u32; 3] = [2, 4, 8];
     let robots = [RobotKind::PatrolBot, RobotKind::HomeBot, RobotKind::FlyBot];
-    let mut legacy: Vec<CampaignJob> = robots
+    let mut legacy: Vec<LegacyJob> = robots
         .iter()
         .map(|&kind| {
             (
@@ -293,7 +300,7 @@ fn fig9_manifest_matches_legacy_matrix() {
         ("F", NnsKind::Flann),
         ("K", NnsKind::KdTree),
     ];
-    let mut legacy: Vec<CampaignJob> = Vec::new();
+    let mut legacy: Vec<LegacyJob> = Vec::new();
     let mut labels: Vec<String> = Vec::new();
     for kind in [RobotKind::MoveBot, RobotKind::HomeBot] {
         for (label, nns) in engines {
@@ -329,7 +336,7 @@ fn fig10_manifest_matches_legacy_matrix() {
         ("NL", PrefetcherKind::NextLine),
         ("Bi", PrefetcherKind::Bingo),
     ];
-    let legacy: Vec<CampaignJob> = RobotKind::all()
+    let legacy: Vec<LegacyJob> = RobotKind::all()
         .iter()
         .flat_map(|&robot| {
             kinds.iter().map(move |(_, pf)| {
@@ -361,7 +368,7 @@ fn fig11_manifest_matches_legacy_matrix() {
     ];
     let geoms = [("512B", 512u64), ("1KB", 1024)];
     let bits = [2u32, 3];
-    let mut legacy: Vec<CampaignJob> = Vec::new();
+    let mut legacy: Vec<LegacyJob> = Vec::new();
     let mut labels: Vec<String> = Vec::new();
     for robot in RobotKind::all() {
         legacy.push((
@@ -395,7 +402,7 @@ fn fig12_manifest_matches_legacy_matrix() {
         ("optimized", SoftwareConfig::optimized()),
         ("approximable", SoftwareConfig::approximable()),
     ];
-    let mut legacy: Vec<CampaignJob> = Vec::new();
+    let mut legacy: Vec<LegacyJob> = Vec::new();
     let mut labels: Vec<String> = Vec::new();
     for robot in RobotKind::all() {
         legacy.push((
@@ -415,7 +422,7 @@ fn fig12_manifest_matches_legacy_matrix() {
 #[test]
 fn baseline_upgrades_manifest_matches_legacy_matrix() {
     let robots = [RobotKind::DeliBot, RobotKind::HomeBot, RobotKind::CarriBot];
-    let legacy: Vec<CampaignJob> = robots
+    let legacy: Vec<LegacyJob> = robots
         .iter()
         .flat_map(|&robot| {
             [
@@ -447,7 +454,7 @@ fn ablations_manifest_matches_legacy_matrix() {
     const OVEC_LATENCIES: [u64; 4] = [1, 5, 10, 20];
     let mut sw = SoftwareConfig::optimized();
     sw.nns = NnsKind::Vln;
-    let mut legacy: Vec<CampaignJob> = Vec::new();
+    let mut legacy: Vec<LegacyJob> = Vec::new();
     let mut labels: Vec<String> = Vec::new();
     for region in ANL_REGIONS {
         let mut hw = MachineConfig::tartan();
@@ -466,7 +473,7 @@ fn ablations_manifest_matches_legacy_matrix() {
 
 #[test]
 fn bench_tier1_manifest_matches_legacy_matrix() {
-    let mut legacy: Vec<CampaignJob> = Vec::new();
+    let mut legacy: Vec<LegacyJob> = Vec::new();
     let mut configs: Vec<&str> = Vec::new();
     for kind in RobotKind::all() {
         legacy.push((
@@ -492,27 +499,19 @@ fn bench_tier1_manifest_matches_legacy_matrix() {
 /// count — the `tartan_run --jobs N` contract.
 #[test]
 fn scenario_export_is_byte_identical_across_job_counts() {
-    let spec = ScenarioSpec::from_json(manifests::SMOKE).unwrap();
-    let plan = spec.expand().unwrap();
-    let params: ExperimentParams = spec.base_params().into();
-    let jobs: Vec<CampaignJob> = plan
-        .jobs
-        .iter()
-        .map(|j| (j.robot, j.machine.clone(), j.software))
-        .collect();
-    let export_for = |n: usize| {
-        let outcomes = run_campaign_with_jobs(n, &jobs, &params);
-        StatsExport {
-            generator: "tartan_run".into(),
-            runs: plan
-                .jobs
-                .iter()
-                .zip(&outcomes)
-                .map(|(job, out)| out.to_run_stats(&job.config))
-                .collect(),
-            failures: Vec::new(),
-        }
-        .to_json()
+    let campaign = Campaign::from_spec(ScenarioSpec::from_json(manifests::SMOKE).unwrap()).unwrap();
+    let export_for = |jobs: usize| {
+        let report = Engine::new(CampaignSpec {
+            campaigns: vec![campaign.clone()],
+            options: CampaignOptions {
+                jobs,
+                ..CampaignOptions::default()
+            },
+        })
+        .run(&mut PhaseClock::start(), None)
+        .unwrap();
+        assert!(report.campaigns[0].failures.is_empty(), "jobs = {jobs}");
+        render_exports("tartan_run", &campaign, &report.campaigns[0])
     };
     assert_eq!(export_for(1), export_for(2));
 }
