@@ -21,18 +21,11 @@ use crate::error::ScenarioError;
 use crate::id::ConfigId;
 use crate::json::{parse, JsonValue};
 use crate::spec::{
-    MachineSpec, ParamsSpec, SoftwareSpec, SCENARIO_SCHEMA_VERSION,
+    arr, join, keyword, obj, str_of, u64_of, unknown_field, MachineSpec, ParamsSpec, SoftwareSpec,
+    SCENARIO_SCHEMA_VERSION,
 };
 use tartan_robots::{RobotKind, Scale, SoftwareConfig};
 use tartan_sim::MachineConfig;
-
-fn join(path: &str, key: &str) -> String {
-    if path.is_empty() {
-        key.to_string()
-    } else {
-        format!("{path}.{key}")
-    }
-}
 
 // ------------------------------------------------------------ VariantSpec
 
@@ -50,36 +43,13 @@ pub struct VariantSpec {
 impl VariantSpec {
     fn parse(v: &JsonValue, path: &str) -> Result<VariantSpec, ScenarioError> {
         let mut spec = VariantSpec::default();
-        for (key, value) in match v {
-            JsonValue::Obj(fields) => fields.as_slice(),
-            other => {
-                return Err(ScenarioError::new(
-                    path,
-                    format!("expected an object, got {}", other.kind()),
-                ))
-            }
-        } {
+        for (key, value) in obj(v, path)? {
             let p = join(path, key);
             match key.as_str() {
-                "label" => {
-                    spec.label = match value {
-                        JsonValue::Str(s) => s.clone(),
-                        other => {
-                            return Err(ScenarioError::new(
-                                p,
-                                format!("expected a string, got {}", other.kind()),
-                            ))
-                        }
-                    }
-                }
+                "label" => spec.label = str_of(value, &p)?.to_string(),
                 "machine" => spec.machine = MachineSpec::parse(value, &p)?,
                 "software" => spec.software = SoftwareSpec::parse(value, &p)?,
-                _ => {
-                    return Err(ScenarioError::new(
-                        p,
-                        "unknown field (known fields: label, machine, software)",
-                    ))
-                }
+                _ => return Err(unknown_field(path, key, &["label", "machine", "software"])),
             }
         }
         Ok(spec)
@@ -115,54 +85,19 @@ impl AxisSpec {
     fn parse(v: &JsonValue, path: &str) -> Result<AxisSpec, ScenarioError> {
         let mut name = None;
         let mut variants = Vec::new();
-        let fields = match v {
-            JsonValue::Obj(fields) => fields,
-            other => {
-                return Err(ScenarioError::new(
-                    path,
-                    format!("expected an object, got {}", other.kind()),
-                ))
-            }
-        };
-        let mut saw_variants = false;
-        for (key, value) in fields {
+        for (key, value) in obj(v, path)? {
             let p = join(path, key);
             match key.as_str() {
-                "name" => {
-                    name = Some(match value {
-                        JsonValue::Str(s) => s.clone(),
-                        other => {
-                            return Err(ScenarioError::new(
-                                p,
-                                format!("expected a string, got {}", other.kind()),
-                            ))
-                        }
-                    })
-                }
+                "name" => name = Some(str_of(value, &p)?.to_string()),
                 "variants" => {
-                    saw_variants = true;
-                    let items = match value {
-                        JsonValue::Arr(items) => items,
-                        other => {
-                            return Err(ScenarioError::new(
-                                p,
-                                format!("expected an array, got {}", other.kind()),
-                            ))
-                        }
-                    };
-                    for (i, item) in items.iter().enumerate() {
+                    for (i, item) in arr(value, &p)?.iter().enumerate() {
                         variants.push(VariantSpec::parse(item, &format!("{p}[{i}]"))?);
                     }
                 }
-                _ => {
-                    return Err(ScenarioError::new(
-                        p,
-                        "unknown field (known fields: name, variants)",
-                    ))
-                }
+                _ => return Err(unknown_field(path, key, &["name", "variants"])),
             }
         }
-        if !saw_variants || variants.is_empty() {
+        if variants.is_empty() {
             return Err(ScenarioError::new(
                 join(path, "variants"),
                 "an axis needs at least one variant",
@@ -253,77 +188,50 @@ impl Default for GroupSpec {
 }
 
 impl GroupSpec {
+    const FIELDS: [&'static str; 8] = [
+        "name",
+        "robots",
+        "order",
+        "machine",
+        "software",
+        "prelude",
+        "axes",
+        "label_format",
+    ];
+
     fn parse(v: &JsonValue, path: &str) -> Result<GroupSpec, ScenarioError> {
         let mut spec = GroupSpec::default();
         let mut saw_robots = false;
-        let fields = match v {
-            JsonValue::Obj(fields) => fields,
-            other => {
-                return Err(ScenarioError::new(
-                    path,
-                    format!("expected an object, got {}", other.kind()),
-                ))
-            }
-        };
-        for (key, value) in fields {
+        for (key, value) in obj(v, path)? {
             let p = join(path, key);
             match key.as_str() {
-                "name" => spec.name = Some(expect_str(value, &p)?),
+                "name" => spec.name = Some(str_of(value, &p)?.to_string()),
                 "robots" => {
                     saw_robots = true;
                     spec.robots = parse_robots(value, &p)?;
                 }
                 "order" => {
-                    spec.order = match expect_str(value, &p)?.as_str() {
-                        "robots_outer" => SweepOrder::RobotsOuter,
-                        "axes_outer" => SweepOrder::AxesOuter,
-                        other => {
-                            return Err(ScenarioError::new(
-                                p,
-                                format!(
-                                    "unknown value {other:?} (expected one of robots_outer, axes_outer)"
-                                ),
-                            ))
-                        }
-                    }
+                    let orders = [
+                        ("robots_outer", SweepOrder::RobotsOuter),
+                        ("axes_outer", SweepOrder::AxesOuter),
+                    ];
+                    spec.order = keyword(value, &p, &orders)?;
                 }
                 "machine" => spec.machine = MachineSpec::parse(value, &p)?,
                 "software" => spec.software = SoftwareSpec::parse(value, &p)?,
                 "prelude" => {
-                    let items = match value {
-                        JsonValue::Arr(items) => items,
-                        other => {
-                            return Err(ScenarioError::new(
-                                p,
-                                format!("expected an array, got {}", other.kind()),
-                            ))
-                        }
-                    };
-                    for (i, item) in items.iter().enumerate() {
-                        spec.prelude.push(VariantSpec::parse(item, &format!("{p}[{i}]"))?);
+                    for (i, item) in arr(value, &p)?.iter().enumerate() {
+                        spec.prelude
+                            .push(VariantSpec::parse(item, &format!("{p}[{i}]"))?);
                     }
                 }
                 "axes" => {
-                    let items = match value {
-                        JsonValue::Arr(items) => items,
-                        other => {
-                            return Err(ScenarioError::new(
-                                p,
-                                format!("expected an array, got {}", other.kind()),
-                            ))
-                        }
-                    };
-                    for (i, item) in items.iter().enumerate() {
+                    for (i, item) in arr(value, &p)?.iter().enumerate() {
                         spec.axes.push(AxisSpec::parse(item, &format!("{p}[{i}]"))?);
                     }
                 }
-                "label_format" => spec.label_format = Some(expect_str(value, &p)?),
-                _ => {
-                    return Err(ScenarioError::new(
-                        p,
-                        "unknown field (known fields: name, robots, order, machine, software, prelude, axes, label_format)",
-                    ))
-                }
+                "label_format" => spec.label_format = Some(str_of(value, &p)?.to_string()),
+                _ => return Err(unknown_field(path, key, &Self::FIELDS)),
             }
         }
         if !saw_robots {
@@ -379,16 +287,6 @@ impl GroupSpec {
     }
 }
 
-fn expect_str(v: &JsonValue, path: &str) -> Result<String, ScenarioError> {
-    match v {
-        JsonValue::Str(s) => Ok(s.clone()),
-        other => Err(ScenarioError::new(
-            path,
-            format!("expected a string, got {}", other.kind()),
-        )),
-    }
-}
-
 fn parse_robots(v: &JsonValue, path: &str) -> Result<RobotsSpec, ScenarioError> {
     match v {
         JsonValue::Str(s) if s == "all" => Ok(RobotsSpec::All),
@@ -403,8 +301,8 @@ fn parse_robots(v: &JsonValue, path: &str) -> Result<RobotsSpec, ScenarioError> 
             let mut list = Vec::new();
             for (i, item) in items.iter().enumerate() {
                 let p = format!("{path}[{i}]");
-                let name = expect_str(item, &p)?;
-                let kind = RobotKind::from_name(&name).ok_or_else(|| {
+                let name = str_of(item, &p)?;
+                let kind = RobotKind::from_name(name).ok_or_else(|| {
                     let names: Vec<&str> = RobotKind::all().iter().map(|k| k.name()).collect();
                     ScenarioError::new(
                         p,
@@ -442,6 +340,16 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
+    const FIELDS: [&'static str; 7] = [
+        "schema_version",
+        "name",
+        "title",
+        "params",
+        "machine",
+        "software",
+        "groups",
+    ];
+
     /// Parses and structurally validates a scenario document.
     ///
     /// # Errors
@@ -472,51 +380,20 @@ impl ScenarioSpec {
         let mut machine = MachineSpec::default();
         let mut software = SoftwareSpec::default();
         let mut groups: Vec<GroupSpec> = Vec::new();
-        let mut saw_groups = false;
         for (key, value) in fields {
             match key.as_str() {
-                "schema_version" => {
-                    version = Some(match value {
-                        JsonValue::Num(raw) => raw.parse::<u64>().map_err(|_| {
-                            ScenarioError::new(
-                                "schema_version",
-                                format!("expected an unsigned integer, got {raw}"),
-                            )
-                        })?,
-                        other => {
-                            return Err(ScenarioError::new(
-                                "schema_version",
-                                format!("expected an unsigned integer, got {}", other.kind()),
-                            ))
-                        }
-                    })
-                }
-                "name" => name = Some(expect_str(value, "name")?),
-                "title" => title = Some(expect_str(value, "title")?),
+                "schema_version" => version = Some(u64_of(value, "schema_version")?),
+                "name" => name = Some(str_of(value, "name")?.to_string()),
+                "title" => title = Some(str_of(value, "title")?.to_string()),
                 "params" => params = ParamsSpec::parse(value, "params")?,
                 "machine" => machine = MachineSpec::parse(value, "machine")?,
                 "software" => software = SoftwareSpec::parse(value, "software")?,
                 "groups" => {
-                    saw_groups = true;
-                    let items = match value {
-                        JsonValue::Arr(items) => items,
-                        other => {
-                            return Err(ScenarioError::new(
-                                "groups",
-                                format!("expected an array, got {}", other.kind()),
-                            ))
-                        }
-                    };
-                    for (i, item) in items.iter().enumerate() {
+                    for (i, item) in arr(value, "groups")?.iter().enumerate() {
                         groups.push(GroupSpec::parse(item, &format!("groups[{i}]"))?);
                     }
                 }
-                other => {
-                    return Err(ScenarioError::new(
-                        other,
-                        "unknown field (known fields: schema_version, name, title, params, machine, software, groups)",
-                    ))
-                }
+                _ => return Err(unknown_field("", key, &Self::FIELDS)),
             }
         }
         match version {
@@ -548,7 +425,7 @@ impl ScenarioSpec {
                 format!("must be non-empty and use only [A-Za-z0-9_-] (got {name:?})"),
             ));
         }
-        if !saw_groups || groups.is_empty() {
+        if groups.is_empty() {
             return Err(ScenarioError::new(
                 "groups",
                 "a scenario needs at least one group",

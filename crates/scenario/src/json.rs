@@ -1,358 +1,10 @@
-//! A small JSON value tree: parser and deterministic renderer.
+//! The JSON value tree scenarios are read into and rendered from.
 //!
-//! The workspace is offline (no serde). `tartan-telemetry` ships a JSON
-//! *writer* and a syntax *validator*; scenarios additionally need to read
-//! documents back, so this module parses into a [`JsonValue`] tree. Two
-//! deliberate choices keep round-trips exact:
-//!
-//! * Numbers are stored as their **raw source text** ([`JsonValue::Num`]),
-//!   so a `u64` seed never detours through `f64` and back.
-//! * Rendering reuses the telemetry writer's escaping
-//!   ([`tartan_telemetry::push_str`]), so identical trees render to
-//!   byte-identical documents.
+//! The workspace has one JSON grammar, in `tartan-telemetry` (the same
+//! code that writes `stats.json`); this module re-exports its tree so
+//! scenario code and its dependents name it as `tartan_scenario::json`.
+//! Numbers keep their raw source text and rendering is deterministic, so
+//! `render ∘ parse` is lossless and identical trees render to identical
+//! bytes.
 
-use tartan_telemetry::push_str;
-
-/// One parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number, kept as its raw source text (e.g. `"42"`, `"-1.5e3"`).
-    Num(String),
-    /// A string (unescaped).
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object; key order is preserved.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Looks a key up in an object (`None` for other variants).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// A short name for the variant, for error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            JsonValue::Null => "null",
-            JsonValue::Bool(_) => "a boolean",
-            JsonValue::Num(_) => "a number",
-            JsonValue::Str(_) => "a string",
-            JsonValue::Arr(_) => "an array",
-            JsonValue::Obj(_) => "an object",
-        }
-    }
-
-    /// Renders the tree as compact JSON (deterministic; preserves object
-    /// key order).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    fn render_into(&self, out: &mut String) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Num(raw) => out.push_str(raw),
-            JsonValue::Str(s) => push_str(out, s),
-            JsonValue::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            JsonValue::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_str(out, k);
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Parses one JSON document into a value tree.
-///
-/// # Errors
-///
-/// Returns `"<message> at byte <offset>"` on malformed input.
-pub fn parse(s: &str) -> Result<JsonValue, String> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b' ' | b'\t' | b'\n' | b'\r')
-        ) {
-            self.pos += 1;
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.bytes.get(self.pos) {
-            None => Err(format!("unexpected end of input at byte {}", self.pos)),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
-            Some(c) => Err(format!("unexpected byte {:?} at {}", *c as char, self.pos)),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("expected `{lit}` at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        let digits = |p: &mut Self| {
-            let from = p.pos;
-            while p.bytes.get(p.pos).is_some_and(u8::is_ascii_digit) {
-                p.pos += 1;
-            }
-            p.pos > from
-        };
-        if !digits(self) {
-            return Err(format!("malformed number at byte {start}"));
-        }
-        if self.bytes.get(self.pos) == Some(&b'.') {
-            self.pos += 1;
-            if !digits(self) {
-                return Err(format!("malformed number at byte {start}"));
-            }
-        }
-        if matches!(self.bytes.get(self.pos), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.bytes.get(self.pos), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !digits(self) {
-                return Err(format!("malformed number at byte {start}"));
-            }
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII")
-            .to_string();
-        Ok(JsonValue::Num(raw))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        debug_assert_eq!(self.bytes[self.pos], b'"');
-        self.pos += 1;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| {
-                                    format!("malformed \\u escape at byte {}", self.pos)
-                                })?;
-                            // Surrogate pairs are not needed by any scenario
-                            // document; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.pos += 1; // '{'
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            if self.bytes.get(self.pos) != Some(&b'"') {
-                return Err(format!("expected object key at byte {}", self.pos));
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            if self.bytes.get(self.pos) != Some(&b':') {
-                return Err(format!("expected `:` at byte {}", self.pos));
-            }
-            self.pos += 1;
-            self.skip_ws();
-            let value = self.value()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key {key:?} at byte {}", self.pos));
-            }
-            fields.push((key, value));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.pos += 1; // '['
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::fmt::Write as _;
-
-    #[test]
-    fn parses_and_rerenders_compactly() {
-        let doc = r#" { "a" : [ 1 , 2.5 , -3e2 ] , "b" : { "c" : null , "d" : true } , "e" : "x\ny" } "#;
-        let v = parse(doc).unwrap();
-        assert_eq!(
-            v.render(),
-            r#"{"a":[1,2.5,-3e2],"b":{"c":null,"d":true},"e":"x\ny"}"#
-        );
-        // Rendering is a fixed point: parse(render(v)) == v.
-        assert_eq!(parse(&v.render()).unwrap(), v);
-    }
-
-    #[test]
-    fn numbers_keep_their_raw_text() {
-        let v = parse("18446744073709551615").unwrap();
-        assert_eq!(v, JsonValue::Num("18446744073709551615".into()));
-        assert_eq!(v.render(), "18446744073709551615");
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in [
-            "", "{", "[1,]", "{\"a\"1}", "{\"a\":1,}", "\"unterminated", "{} x", "1.", "-",
-            "1e", "{'k':1}", "nul",
-        ] {
-            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
-        }
-    }
-
-    #[test]
-    fn rejects_duplicate_keys() {
-        let err = parse(r#"{"a":1,"a":2}"#).unwrap_err();
-        assert!(err.contains("duplicate key"), "{err}");
-    }
-
-    #[test]
-    fn get_walks_objects() {
-        let v = parse(r#"{"a":{"b":7}}"#).unwrap();
-        assert_eq!(v.get("a").and_then(|a| a.get("b")), Some(&JsonValue::Num("7".into())));
-        assert_eq!(v.get("missing"), None);
-    }
-
-    #[test]
-    fn escapes_survive_round_trips() {
-        let v = JsonValue::Str("quote \" slash \\ tab \t ctrl \u{1}".into());
-        let rendered = v.render();
-        tartan_telemetry::validate_json(&rendered).unwrap();
-        assert_eq!(parse(&rendered).unwrap(), v);
-        let mut n = String::new();
-        let _ = write!(n, "{}", 0.25f64);
-        assert_eq!(parse(&n).unwrap().render(), "0.25");
-    }
-}
+pub use tartan_telemetry::json::{parse, JsonValue};

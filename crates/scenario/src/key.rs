@@ -199,7 +199,7 @@ mod tests {
     fn text_is_valid_json_and_versioned() {
         let (plan, params) = plan_and_params();
         let text = plan.jobs[0].cache_key_text(&params);
-        tartan_telemetry::validate_json(&text).unwrap();
+        crate::json::parse(&text).unwrap();
         assert!(text.starts_with("{\"cache_key_version\":1,\"stats_schema\":"));
         assert!(text.contains("\"robot\":\"DeliBot\""));
         assert!(text.contains("\"seed\":42"));

@@ -9,10 +9,11 @@
 //! ad hoc in each harness.
 //!
 //! The crate is dependency-free beyond the workspace's own `tartan-sim`,
-//! `tartan-robots`, `tartan-telemetry` (coverage fingerprints), and
-//! `tartan-oracle` (the [`synth`] corpus shrinker reuses its ddmin
-//! loop): the environment is offline, so serialization is hand-rolled
-//! in [`json`] with exact (raw-text) number round-trips.
+//! `tartan-robots`, `tartan-telemetry` (coverage fingerprints and the
+//! workspace's one JSON grammar), and `tartan-oracle` (the [`synth`]
+//! corpus shrinker reuses its ddmin loop): the environment is offline, so
+//! serialization is hand-rolled; [`json`] re-exports telemetry's value
+//! tree, which keeps exact (raw-text) number round-trips.
 //!
 //! Pipeline:
 //!

@@ -26,7 +26,7 @@ pub const SCENARIO_SCHEMA_VERSION: u64 = 1;
 
 // ----------------------------------------------------------- JSON helpers
 
-fn join(path: &str, key: &str) -> String {
+pub(crate) fn join(path: &str, key: &str) -> String {
     if path.is_empty() {
         key.to_string()
     } else {
@@ -38,28 +38,31 @@ fn type_err(path: &str, expected: &str, got: &JsonValue) -> ScenarioError {
     ScenarioError::new(path, format!("expected {expected}, got {}", got.kind()))
 }
 
-fn obj<'a>(v: &'a JsonValue, path: &str) -> Result<&'a [(String, JsonValue)], ScenarioError> {
+pub(crate) fn obj<'a>(
+    v: &'a JsonValue,
+    path: &str,
+) -> Result<&'a [(String, JsonValue)], ScenarioError> {
     match v {
         JsonValue::Obj(fields) => Ok(fields),
         other => Err(type_err(path, "an object", other)),
     }
 }
 
-fn arr<'a>(v: &'a JsonValue, path: &str) -> Result<&'a [JsonValue], ScenarioError> {
+pub(crate) fn arr<'a>(v: &'a JsonValue, path: &str) -> Result<&'a [JsonValue], ScenarioError> {
     match v {
         JsonValue::Arr(items) => Ok(items),
         other => Err(type_err(path, "an array", other)),
     }
 }
 
-fn str_of<'a>(v: &'a JsonValue, path: &str) -> Result<&'a str, ScenarioError> {
+pub(crate) fn str_of<'a>(v: &'a JsonValue, path: &str) -> Result<&'a str, ScenarioError> {
     match v {
         JsonValue::Str(s) => Ok(s),
         other => Err(type_err(path, "a string", other)),
     }
 }
 
-fn u64_of(v: &JsonValue, path: &str) -> Result<u64, ScenarioError> {
+pub(crate) fn u64_of(v: &JsonValue, path: &str) -> Result<u64, ScenarioError> {
     match v {
         JsonValue::Num(raw) => raw.parse::<u64>().map_err(|_| {
             ScenarioError::new(path, format!("expected an unsigned integer, got {raw}"))
@@ -96,7 +99,7 @@ fn bool_of(v: &JsonValue, path: &str) -> Result<bool, ScenarioError> {
     }
 }
 
-fn keyword<T: Copy>(
+pub(crate) fn keyword<T: Copy>(
     v: &JsonValue,
     path: &str,
     table: &[(&str, T)],
@@ -123,7 +126,7 @@ fn keyword_name<T: PartialEq>(value: T, table: &[(&'static str, T)]) -> &'static
         .expect("every enum variant has a table entry")
 }
 
-fn unknown_field(path: &str, key: &str, known: &[&str]) -> ScenarioError {
+pub(crate) fn unknown_field(path: &str, key: &str, known: &[&str]) -> ScenarioError {
     ScenarioError::new(
         join(path, key),
         format!("unknown field (known fields: {})", known.join(", ")),

@@ -27,9 +27,10 @@
 
 use std::collections::BTreeSet;
 
+use crate::error::ScenarioError;
 use crate::expand::{RobotsSpec, ScenarioSpec};
 use crate::json::{parse, JsonValue};
-use crate::spec::AdjustOp;
+use crate::spec::{arr, join, obj, str_of, u64_of, unknown_field, AdjustOp};
 use tartan_telemetry::{greedy_min_subset, CoverageFingerprint, RobotRunStats};
 
 /// Version of the `corpus_manifest.json` schema.
@@ -348,10 +349,23 @@ impl CorpusManifest {
     /// missing fields, wrong types, and version mismatches all error
     /// with a single-line message naming the field.
     pub fn from_json(text: &str) -> Result<CorpusManifest, String> {
-        let v = parse(text)?;
-        let JsonValue::Obj(fields) = &v else {
-            return Err("corpus manifest must be a JSON object".into());
-        };
+        Self::from_value(&parse(text)?).map_err(|e| e.to_string())
+    }
+
+    fn from_value(v: &JsonValue) -> Result<CorpusManifest, ScenarioError> {
+        const FIELDS: [&str; 11] = [
+            "corpus_schema_version",
+            "generator",
+            "seed",
+            "budget",
+            "space",
+            "enumerated",
+            "invalid",
+            "kept",
+            "duplicate_coverage",
+            "shrink_probes",
+            "scenarios",
+        ];
         let mut m = CorpusManifest {
             seed: 0,
             budget: 0,
@@ -365,141 +379,98 @@ impl CorpusManifest {
         };
         let mut version: Option<u64> = None;
         let mut saw_scenarios = false;
-        let uint = |v: &JsonValue, key: &str| -> Result<u64, String> {
-            match v {
-                JsonValue::Num(raw) => raw
-                    .parse::<u64>()
-                    .map_err(|_| format!("{key}: expected an unsigned integer, got {raw}")),
-                other => Err(format!("{key}: expected a number, got {}", other.kind())),
-            }
-        };
-        for (key, value) in fields {
+        for (key, value) in obj(v, "$")? {
+            let uint = || u64_of(value, key);
             match key.as_str() {
-                "corpus_schema_version" => version = Some(uint(value, key)?),
+                "corpus_schema_version" => version = Some(uint()?),
                 "generator" => {
-                    let JsonValue::Str(s) = value else {
-                        return Err(format!("generator: expected a string, got {}", value.kind()));
-                    };
-                    if s != "tartan_gen" {
-                        return Err(format!("generator: expected \"tartan_gen\", got {s:?}"));
+                    let g = str_of(value, key)?;
+                    if g != "tartan_gen" {
+                        let reason = format!("expected \"tartan_gen\", got {g:?}");
+                        return Err(ScenarioError::new(key, reason));
                     }
                 }
-                "seed" => m.seed = uint(value, key)?,
-                "budget" => m.budget = uint(value, key)?,
-                "space" => m.space = uint(value, key)?,
-                "enumerated" => m.enumerated = uint(value, key)?,
-                "invalid" => m.invalid = uint(value, key)?,
-                "kept" => m.kept = uint(value, key)?,
-                "duplicate_coverage" => m.duplicate_coverage = uint(value, key)?,
-                "shrink_probes" => m.shrink_probes = uint(value, key)?,
+                "seed" => m.seed = uint()?,
+                "budget" => m.budget = uint()?,
+                "space" => m.space = uint()?,
+                "enumerated" => m.enumerated = uint()?,
+                "invalid" => m.invalid = uint()?,
+                "kept" => m.kept = uint()?,
+                "duplicate_coverage" => m.duplicate_coverage = uint()?,
+                "shrink_probes" => m.shrink_probes = uint()?,
                 "scenarios" => {
                     saw_scenarios = true;
-                    let JsonValue::Arr(items) = value else {
-                        return Err(format!("scenarios: expected an array, got {}", value.kind()));
-                    };
-                    for (i, item) in items.iter().enumerate() {
-                        m.entries.push(parse_entry(item, i)?);
+                    for (i, item) in arr(value, key)?.iter().enumerate() {
+                        m.entries
+                            .push(parse_entry(item, &format!("scenarios[{i}]"))?);
                     }
                 }
-                other => return Err(format!("{other}: unknown corpus manifest field")),
+                _ => return Err(unknown_field("", key, &FIELDS)),
             }
         }
         match version {
-            None => return Err("corpus_schema_version: required field is missing".into()),
+            None => {
+                return Err(ScenarioError::new(
+                    "corpus_schema_version",
+                    "required field is missing",
+                ))
+            }
             Some(v) if v != CORPUS_MANIFEST_VERSION as u64 => {
-                return Err(format!(
-                    "corpus_schema_version: unsupported version {v} (this build reads version {CORPUS_MANIFEST_VERSION})"
+                return Err(ScenarioError::new(
+                    "corpus_schema_version",
+                    format!(
+                        "unsupported version {v} (this build reads version {CORPUS_MANIFEST_VERSION})"
+                    ),
                 ))
             }
             Some(_) => {}
         }
         if !saw_scenarios {
-            return Err("scenarios: required field is missing".into());
+            return Err(ScenarioError::new("scenarios", "required field is missing"));
         }
         if m.kept != m.entries.len() as u64 {
-            return Err(format!(
-                "kept: {} does not match the {} scenarios listed",
-                m.kept,
-                m.entries.len()
+            return Err(ScenarioError::new(
+                "kept",
+                format!(
+                    "{} does not match the {} scenarios listed",
+                    m.kept,
+                    m.entries.len()
+                ),
             ));
         }
         Ok(m)
     }
 }
 
-fn parse_entry(v: &JsonValue, i: usize) -> Result<CorpusEntry, String> {
-    let JsonValue::Obj(fields) = v else {
-        return Err(format!("scenarios[{i}]: expected an object, got {}", v.kind()));
-    };
-    let mut name = None;
-    let mut file = None;
-    let mut jobs = None;
-    let mut coverage = None;
-    for (key, value) in fields {
+fn parse_entry(v: &JsonValue, path: &str) -> Result<CorpusEntry, ScenarioError> {
+    let (mut name, mut file, mut jobs, mut coverage) = (None, None, None, None);
+    for (key, value) in obj(v, path)? {
+        let p = join(path, key);
         match key.as_str() {
-            "name" => match value {
-                JsonValue::Str(s) => name = Some(s.clone()),
-                other => {
-                    return Err(format!(
-                        "scenarios[{i}].name: expected a string, got {}",
-                        other.kind()
-                    ))
-                }
-            },
-            "file" => match value {
-                JsonValue::Str(s) => file = Some(s.clone()),
-                other => {
-                    return Err(format!(
-                        "scenarios[{i}].file: expected a string, got {}",
-                        other.kind()
-                    ))
-                }
-            },
-            "jobs" => match value {
-                JsonValue::Num(raw) => {
-                    jobs = Some(raw.parse::<u64>().map_err(|_| {
-                        format!("scenarios[{i}].jobs: expected an unsigned integer, got {raw}")
-                    })?)
-                }
-                other => {
-                    return Err(format!(
-                        "scenarios[{i}].jobs: expected a number, got {}",
-                        other.kind()
-                    ))
-                }
-            },
-            "coverage" => match value {
-                JsonValue::Arr(items) => {
-                    let mut entries = Vec::with_capacity(items.len());
-                    for (j, item) in items.iter().enumerate() {
-                        match item {
-                            JsonValue::Str(s) => entries.push(s.clone()),
-                            other => {
-                                return Err(format!(
-                                    "scenarios[{i}].coverage[{j}]: expected a string, got {}",
-                                    other.kind()
-                                ))
-                            }
-                        }
-                    }
-                    coverage = Some(entries);
-                }
-                other => {
-                    return Err(format!(
-                        "scenarios[{i}].coverage: expected an array, got {}",
-                        other.kind()
-                    ))
-                }
-            },
-            other => return Err(format!("scenarios[{i}].{other}: unknown field")),
+            "name" => name = Some(str_of(value, &p)?.to_string()),
+            "file" => file = Some(str_of(value, &p)?.to_string()),
+            "jobs" => jobs = Some(u64_of(value, &p)?),
+            "coverage" => {
+                let items = arr(value, &p)?.iter().enumerate();
+                let entries =
+                    items.map(|(j, item)| str_of(item, &format!("{p}[{j}]")).map(str::to_string));
+                coverage = Some(entries.collect::<Result<Vec<_>, _>>()?);
+            }
+            _ => {
+                return Err(unknown_field(
+                    path,
+                    key,
+                    &["name", "file", "jobs", "coverage"],
+                ))
+            }
         }
     }
+    let missing = |field| ScenarioError::new(join(path, field), "required field is missing");
     Ok(CorpusEntry {
-        name: name.ok_or(format!("scenarios[{i}].name: required field is missing"))?,
-        file: file.ok_or(format!("scenarios[{i}].file: required field is missing"))?,
-        jobs: jobs.ok_or(format!("scenarios[{i}].jobs: required field is missing"))?,
-        coverage: coverage
-            .ok_or(format!("scenarios[{i}].coverage: required field is missing"))?,
+        name: name.ok_or_else(|| missing("name"))?,
+        file: file.ok_or_else(|| missing("file"))?,
+        jobs: jobs.ok_or_else(|| missing("jobs"))?,
+        coverage: coverage.ok_or_else(|| missing("coverage"))?,
     })
 }
 

@@ -23,7 +23,8 @@
 //! Chrome-trace timeline with one track per worker thread, loadable in
 //! Perfetto next to the per-run simulator traces.
 
-use crate::json::{push_f64, push_str, validate_json};
+use crate::json::Schema::{self, ArrOf, Bool, Num, Obj, Str, Tag, Version, U64};
+use crate::json::{push_f64, push_str};
 use crate::metrics::MetricsSnapshot;
 
 /// Version stamped into every campaign-observability document
@@ -154,46 +155,44 @@ impl CampaignProfile {
     }
 }
 
-/// Structurally validates a `campaign_profile.json` document: well-formed
-/// JSON, the current [`CAMPAIGN_SCHEMA_VERSION`], the required top-level
-/// keys, and — when any span is present — the required span keys.
+const SPAN: Schema = Obj(&[
+    ("index", U64),
+    ("robot", Str),
+    ("config", Str),
+    ("label", Str),
+    ("worker", U64),
+    ("start_nanos", U64),
+    ("end_nanos", U64),
+    ("attempts", U64),
+    ("slow", Bool),
+    ("cached", Bool),
+    ("ok", Bool),
+]);
+
+/// Any object: the metrics maps hold whatever counters and gauges the
+/// campaign registered.
+const ANY_OBJ: Schema = Obj(&[]);
+
+/// The `campaign_profile.json` schema table.
+pub(crate) static PROFILE_DOC: Schema = Obj(&[
+    ("campaign_schema_version", Version(CAMPAIGN_SCHEMA_VERSION)),
+    ("generator", Str),
+    ("scenario", Str),
+    ("jobs", U64),
+    ("total_host_nanos", U64),
+    ("phases", ArrOf(&Obj(&[("name", Str), ("host_nanos", U64)]))),
+    ("spans", ArrOf(&SPAN)),
+    (
+        "metrics",
+        Obj(&[("counters", ANY_OBJ), ("gauges", ANY_OBJ)]),
+    ),
+]);
+
+/// Validates a `campaign_profile.json` document against its schema table:
+/// the current [`CAMPAIGN_SCHEMA_VERSION`], and every required key with
+/// the right type, in the document, every phase and every span.
 pub fn validate_campaign_profile_json(s: &str) -> Result<(), String> {
-    validate_json(s)?;
-    let expect = format!("\"campaign_schema_version\":{CAMPAIGN_SCHEMA_VERSION}");
-    if !s.contains(&expect) {
-        return Err(format!("missing or mismatched {expect}"));
-    }
-    for key in [
-        "\"generator\":",
-        "\"scenario\":",
-        "\"jobs\":",
-        "\"total_host_nanos\":",
-        "\"phases\":",
-        "\"spans\":",
-        "\"metrics\":",
-    ] {
-        if !s.contains(key) {
-            return Err(format!("missing top-level key {key}"));
-        }
-    }
-    if s.contains("\"index\":") {
-        for key in [
-            "\"robot\":",
-            "\"config\":",
-            "\"worker\":",
-            "\"start_nanos\":",
-            "\"end_nanos\":",
-            "\"attempts\":",
-            "\"slow\":",
-            "\"cached\":",
-            "\"ok\":",
-        ] {
-            if !s.contains(key) {
-                return Err(format!("missing span key {key}"));
-            }
-        }
-    }
-    Ok(())
+    PROFILE_DOC.validate(s)
 }
 
 /// Renders a campaign's job spans as a Chrome-trace JSON object with one
@@ -331,32 +330,24 @@ impl Heartbeat {
     }
 }
 
-/// Structurally validates one heartbeat JSONL line.
+/// The heartbeat-line schema table.
+pub(crate) static HEARTBEAT_DOC: Schema = Obj(&[
+    ("campaign_schema_version", Version(CAMPAIGN_SCHEMA_VERSION)),
+    ("type", Tag("heartbeat")),
+    ("done", U64),
+    ("total", U64),
+    ("elapsed_nanos", U64),
+    ("runs_per_sec", Num),
+    ("eta_nanos", U64),
+    ("cache_hits", U64),
+    ("retries", U64),
+    ("slow", U64),
+    ("failures", U64),
+]);
+
+/// Validates one heartbeat JSONL line against its schema table.
 pub fn validate_heartbeat_json(line: &str) -> Result<(), String> {
-    validate_json(line)?;
-    let expect = format!("\"campaign_schema_version\":{CAMPAIGN_SCHEMA_VERSION}");
-    if !line.contains(&expect) {
-        return Err(format!("missing or mismatched {expect}"));
-    }
-    if !line.contains("\"type\":\"heartbeat\"") {
-        return Err("missing \"type\":\"heartbeat\"".into());
-    }
-    for key in [
-        "\"done\":",
-        "\"total\":",
-        "\"elapsed_nanos\":",
-        "\"runs_per_sec\":",
-        "\"eta_nanos\":",
-        "\"cache_hits\":",
-        "\"retries\":",
-        "\"slow\":",
-        "\"failures\":",
-    ] {
-        if !line.contains(key) {
-            return Err(format!("missing heartbeat key {key}"));
-        }
-    }
-    Ok(())
+    HEARTBEAT_DOC.validate(line)
 }
 
 /// One `results/BENCH_history.jsonl` line: a compact record of one
@@ -406,30 +397,23 @@ impl BenchHistoryLine {
     }
 }
 
-/// Structurally validates one `BENCH_history.jsonl` line.
+/// The `BENCH_history.jsonl` line schema table; `warm_runs_per_sec` is a
+/// number or `null`.
+pub(crate) static BENCH_HISTORY_DOC: Schema = Obj(&[
+    ("campaign_schema_version", Version(CAMPAIGN_SCHEMA_VERSION)),
+    ("type", Tag("bench")),
+    ("generator", Str),
+    ("timestamp_secs", U64),
+    ("jobs", U64),
+    ("runs", U64),
+    ("total_host_nanos", U64),
+    ("runs_per_sec", Num),
+    ("warm_runs_per_sec", Num),
+]);
+
+/// Validates one `BENCH_history.jsonl` line against its schema table.
 pub fn validate_bench_history_line(line: &str) -> Result<(), String> {
-    validate_json(line)?;
-    let expect = format!("\"campaign_schema_version\":{CAMPAIGN_SCHEMA_VERSION}");
-    if !line.contains(&expect) {
-        return Err(format!("missing or mismatched {expect}"));
-    }
-    if !line.contains("\"type\":\"bench\"") {
-        return Err("missing \"type\":\"bench\"".into());
-    }
-    for key in [
-        "\"generator\":",
-        "\"timestamp_secs\":",
-        "\"jobs\":",
-        "\"runs\":",
-        "\"total_host_nanos\":",
-        "\"runs_per_sec\":",
-        "\"warm_runs_per_sec\":",
-    ] {
-        if !line.contains(key) {
-            return Err(format!("missing history key {key}"));
-        }
-    }
-    Ok(())
+    BENCH_HISTORY_DOC.validate(line)
 }
 
 #[cfg(test)]
@@ -507,13 +491,27 @@ mod tests {
         // Missing span key.
         let json = sample_profile().to_json().replace("\"worker\":", "\"w\":");
         assert!(validate_campaign_profile_json(&json).is_err());
+        // Only the last span lacks `worker`: each span is checked.
+        let json = sample_profile().to_json();
+        let last = json.rfind("\"worker\":").unwrap();
+        let json = format!(
+            "{}\"w\"{}",
+            &json[..last],
+            &json[last + "\"worker\"".len()..]
+        );
+        let err = validate_campaign_profile_json(&json).unwrap_err();
+        assert_eq!(err, "spans[3]: missing \"worker\"");
+        // A mistyped flag.
+        let json = sample_profile().to_json().replacen(":false", ":0", 1);
+        let err = validate_campaign_profile_json(&json).unwrap_err();
+        assert!(err.starts_with("spans[0].slow: expected"), "{err}");
     }
 
     #[test]
     fn trace_has_one_track_per_worker_and_store_instants() {
         let spans: Vec<JobSpan> = (0..4).map(|i| sample_span(i, i % 2)).collect();
         let json = campaign_trace_json("smoke", 2, &spans);
-        validate_json(&json).unwrap_or_else(|e| panic!("{e}"));
+        crate::json::parse(&json).unwrap_or_else(|e| panic!("{e}"));
         assert!(json.contains("\"name\":\"worker-0\""));
         assert!(json.contains("\"name\":\"worker-1\""));
         assert!(!json.contains("\"name\":\"worker-2\""));
@@ -559,6 +557,9 @@ mod tests {
             validate_heartbeat_json(&line.replace("\"type\":\"heartbeat\"", "\"type\":\"x\""))
                 .is_err()
         );
+        let ten = line.replace("_version\":1", "_version\":10");
+        let err = validate_heartbeat_json(&ten).unwrap_err();
+        assert!(err.contains("expected version 1, found 10"), "{err}");
     }
 
     #[test]

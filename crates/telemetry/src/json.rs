@@ -1,9 +1,25 @@
-//! A minimal JSON writer and validator.
+//! The workspace's one JSON grammar.
 //!
-//! The workspace is offline (no serde); exports hand-roll their JSON
-//! through these helpers, and tests/CI use [`validate_json`] to prove the
-//! output parses. The writer is deterministic: identical inputs produce
-//! byte-identical output.
+//! The workspace is offline (no serde), so every JSON document is written
+//! and read here:
+//!
+//! * **Writer**: [`push_str`] and [`push_f64`]. Identical inputs produce
+//!   byte-identical output.
+//! * **Scanner**: a cursor whose `object` and `array` methods hand each
+//!   member to a callback, so a caller walks a document without building
+//!   anything. It looks at each byte once; strings copy unescaped runs
+//!   whole.
+//! * **Value tree**: [`JsonValue`] and [`parse`], built on the scanner.
+//!   Numbers keep their raw source text, so a `u64` seed never detours
+//!   through `f64`, and [`JsonValue::render`] reuses [`push_str`], so
+//!   identical trees render to byte-identical documents.
+//! * **Schema tables**: declarative document shapes that one walk over the
+//!   scanner checks without building a tree. The typed validators
+//!   (`validate_stats_json`, `validate_heartbeat_json`, ...) are such
+//!   tables.
+
+use std::borrow::Cow;
+use std::fmt::{self, Display};
 
 /// Appends `s` as a JSON string literal (quoted, escaped).
 pub fn push_str(buf: &mut String, s: &str) {
@@ -36,152 +52,498 @@ pub fn push_f64(buf: &mut String, v: f64) {
     }
 }
 
-/// Validates that `s` is one well-formed JSON value (with optional
-/// surrounding whitespace). Returns the byte offset and message on error.
+/// A cursor over one JSON document (RFC 8259 grammar). Errors read
+/// `"<message> at byte <offset>"`.
+struct Scanner<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Scanner<'a> {
+    fn error(&self, msg: impl Display) -> String {
+        format!("{msg} at byte {}", self.pos)
+    }
+
+    /// Skips whitespace and returns the next byte without consuming it.
+    fn peek(&mut self) -> Option<u8> {
+        let b = self.text.as_bytes();
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = b.get(self.pos) {
+            self.pos += 1;
+        }
+        b.get(self.pos).copied()
+    }
+
+    fn expected(&mut self, what: &str) -> String {
+        match self.peek() {
+            None => self.error(format_args!("expected {what}, found end of input")),
+            Some(_) => self.error(format_args!("expected {what}")),
+        }
+    }
+
+    /// Consumes `byte` if it comes next.
+    fn eat(&mut self, byte: u8) -> bool {
+        let hit = self.peek() == Some(byte);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Consumes `word` (`null`, `true` or `false`) if it comes next.
+    fn keyword(&mut self, word: &str) -> bool {
+        let word = word.as_bytes();
+        let hit =
+            self.peek() == Some(word[0]) && self.text.as_bytes()[self.pos..].starts_with(word);
+        self.pos += if hit { word.len() } else { 0 };
+        hit
+    }
+
+    /// Requires the document to end here, apart from whitespace.
+    fn finish(&mut self) -> Result<(), String> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(self.error("trailing garbage")),
+        }
+    }
+
+    /// Scans `open item (',' item)* close` or `open close`, where `open`
+    /// is the next byte.
+    fn sequence(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.pos += 1;
+        if self.eat(close) {
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            if self.eat(close) {
+                return Ok(());
+            }
+            if !self.eat(b',') {
+                return Err(self.expected(&format!("`,` or `{}`", close as char)));
+            }
+        }
+    }
+
+    /// Scans the object that comes next, calling `member(key, scanner)`
+    /// to scan each member's value.
+    fn object(
+        &mut self,
+        mut member: impl FnMut(Cow<'a, str>, &mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.sequence(b'}', |sc| {
+            let key = sc.string()?;
+            if !sc.eat(b':') {
+                return Err(sc.expected("`:`"));
+            }
+            member(key, sc)
+        })
+    }
+
+    /// Scans the array that comes next, calling `item` to scan each element.
+    fn array(&mut self, item: impl FnMut(&mut Self) -> Result<(), String>) -> Result<(), String> {
+        self.sequence(b']', item)
+    }
+
+    /// Scans a string and returns its unescaped value, borrowed from the
+    /// input unless it holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        let mut owned = String::new();
+        let tail = self.scan_string(|run, c| {
+            owned.push_str(run);
+            owned.push(c);
+        })?;
+        Ok(match owned.is_empty() {
+            true => Cow::Borrowed(tail),
+            false => Cow::Owned(owned + tail),
+        })
+    }
+
+    /// The string grammar. Calls `escaped(run, c)` for each escape, with
+    /// the unescaped run before it and the character it decodes to, and
+    /// returns the run after the last escape.
+    fn scan_string(&mut self, mut escaped: impl FnMut(&'a str, char)) -> Result<&'a str, String> {
+        if !self.eat(b'"') {
+            return Err(self.expected("a string"));
+        }
+        let text = self.text;
+        let b = text.as_bytes();
+        let mut run = self.pos;
+        loop {
+            // `"`, `\` and control bytes are ASCII, so every run ends on a
+            // UTF-8 character boundary.
+            let Some(len) = b[self.pos..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+            else {
+                self.pos = b.len();
+                return Err(self.error("unterminated string"));
+            };
+            self.pos += len;
+            match b[self.pos] {
+                b'"' => {
+                    self.pos += 1;
+                    return Ok(&text[run..self.pos - 1]);
+                }
+                b'\\' => {
+                    let before = &text[run..self.pos];
+                    self.pos += 1;
+                    escaped(before, self.escape()?);
+                    run = self.pos;
+                }
+                _ => return Err(self.error("unescaped control character in string")),
+            }
+        }
+    }
+
+    /// Decodes the escape after a `\`. No document here needs surrogate
+    /// pairs, so a `\u` surrogate decodes to U+FFFD.
+    fn escape(&mut self) -> Result<char, String> {
+        let b = self.text.as_bytes();
+        let c = match b.get(self.pos) {
+            Some(&c @ (b'"' | b'\\' | b'/')) => c as char,
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let hex = b
+                    .get(self.pos + 1..self.pos + 5)
+                    .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                    .ok_or_else(|| self.error("malformed \\u escape"))?;
+                self.pos += 4;
+                let code = hex.iter().fold(0, |acc, &h| {
+                    acc * 16 + (h as char).to_digit(16).unwrap_or(0)
+                });
+                char::from_u32(code).unwrap_or('\u{fffd}')
+            }
+            _ => return Err(self.error("bad escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// Scans a number and returns its raw text.
+    fn number(&mut self) -> Result<&'a str, String> {
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(self.expected("a number"));
+        }
+        let b = self.text.as_bytes();
+        let start = self.pos;
+        let mut p = start + usize::from(b[start] == b'-');
+        let digits = |p: &mut usize| {
+            let from = *p;
+            while b.get(*p).is_some_and(u8::is_ascii_digit) {
+                *p += 1;
+            }
+            *p > from
+        };
+        let int = p;
+        // No leading zeros; a fraction and an exponent need digits.
+        let mut ok = digits(&mut p) && (b[int] != b'0' || p == int + 1);
+        if ok && b.get(p) == Some(&b'.') {
+            p += 1;
+            ok = digits(&mut p);
+        }
+        if ok && matches!(b.get(p), Some(b'e' | b'E')) {
+            p += 1 + usize::from(matches!(b.get(p + 1), Some(b'+' | b'-')));
+            ok = digits(&mut p);
+        }
+        if !ok {
+            return Err(self.error("malformed number"));
+        }
+        self.pos = p;
+        Ok(&self.text[start..p])
+    }
+
+    /// Scans one value of any kind, checking its syntax without keeping it.
+    fn skip(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'{') => self.object(|_, sc| sc.skip()),
+            Some(b'[') => self.array(Self::skip),
+            Some(b'"') => self.scan_string(|_, _| {}).map(drop),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
+            _ if self.keyword("null") || self.keyword("true") || self.keyword("false") => Ok(()),
+            _ => Err(self.expected("a value")),
+        }
+    }
+}
+
+/// One parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonValue {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number, kept as its raw source text (e.g. `"42"`, `"-1.5e3"`).
+    Num(String),
+    /// A string (unescaped).
+    Str(String),
+    /// An array.
+    Arr(Vec<JsonValue>),
+    /// An object; key order is preserved.
+    Obj(Vec<(String, JsonValue)>),
+}
+
+impl JsonValue {
+    /// Looks a key up in an object (`None` for other variants).
+    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+        match self {
+            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// A short name for the variant, for error messages.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            JsonValue::Null => "null",
+            JsonValue::Bool(_) => "a boolean",
+            JsonValue::Num(_) => "a number",
+            JsonValue::Str(_) => "a string",
+            JsonValue::Arr(_) => "an array",
+            JsonValue::Obj(_) => "an object",
+        }
+    }
+
+    /// Renders the tree as compact JSON (deterministic; preserves object
+    /// key order).
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    fn render_into(&self, out: &mut String) {
+        match self {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Num(raw) => out.push_str(raw),
+            JsonValue::Str(s) => push_str(out, s),
+            JsonValue::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.render_into(out);
+                }
+                out.push(']');
+            }
+            JsonValue::Obj(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    push_str(out, k);
+                    out.push(':');
+                    v.render_into(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    fn scan(sc: &mut Scanner) -> Result<JsonValue, String> {
+        Ok(match sc.peek() {
+            Some(b'{') => {
+                let mut fields: Vec<(String, JsonValue)> = Vec::new();
+                sc.object(|key, sc| {
+                    if fields.iter().any(|(k, _)| *k == key) {
+                        return Err(sc.error(format_args!("duplicate key {key:?}")));
+                    }
+                    let value = JsonValue::scan(sc)?;
+                    fields.push((key.into_owned(), value));
+                    Ok(())
+                })?;
+                JsonValue::Obj(fields)
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                sc.array(|sc| {
+                    items.push(JsonValue::scan(sc)?);
+                    Ok(())
+                })?;
+                JsonValue::Arr(items)
+            }
+            Some(b'"') => JsonValue::Str(sc.string()?.into_owned()),
+            Some(b'-' | b'0'..=b'9') => JsonValue::Num(sc.number()?.to_owned()),
+            _ if sc.keyword("null") => JsonValue::Null,
+            _ if sc.keyword("true") => JsonValue::Bool(true),
+            _ if sc.keyword("false") => JsonValue::Bool(false),
+            _ => return Err(sc.expected("a value")),
+        })
+    }
+}
+
+/// Parses one JSON document into a value tree, in time linear in its
+/// length apart from the duplicate-key check, which compares each key with
+/// the keys before it in the same object.
 ///
-/// This is a syntax check only — small, strict on structure, permissive on
-/// number grammar — used by tests and the CI schema guard, not a general
-/// parser: it builds no value tree.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(())
+/// # Errors
+///
+/// Returns `"<message> at byte <offset>"` on malformed input, including a
+/// key repeated within one object.
+pub fn parse(s: &str) -> Result<JsonValue, String> {
+    let mut sc = Scanner { text: s, pos: 0 };
+    let v = JsonValue::scan(&mut sc)?;
+    sc.finish()?;
+    Ok(v)
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+/// One entry of a schema table: the shape a JSON value must have.
+#[derive(Debug)]
+pub(crate) enum Schema {
+    /// A non-negative integer that fits a `u64`.
+    U64,
+    /// A number, or `null` ([`push_f64`] writes non-finite values so).
+    Num,
+    /// A string.
+    Str,
+    /// `true` or `false`.
+    Bool,
+    /// Exactly this integer: a schema version.
+    Version(u32),
+    /// Exactly this string: a `type` tag.
+    Tag(&'static str),
+    /// `null` or the inner shape.
+    Nullable(&'static Schema),
+    /// As an object field: the field may be absent.
+    Opt(&'static Schema),
+    /// An object with these fields, each required unless wrapped in
+    /// [`Schema::Opt`]. Unknown keys are skipped after a syntax check, so
+    /// documents may grow fields; a known key may appear only once.
+    Obj(&'static [(&'static str, Schema)]),
+    /// An array whose every element has the inner shape.
+    ArrOf(&'static Schema),
+}
+
+/// Where a value sits in a document, for error messages: `runs[3].l1`.
+#[derive(Clone, Copy)]
+enum Path<'p> {
+    Root,
+    Key(&'p Path<'p>, &'static str),
+    Index(&'p Path<'p>, usize),
+}
+
+impl Display for Path<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Path::Root => Ok(()),
+            Path::Key(Path::Root, key) => f.write_str(key),
+            Path::Key(up, key) => write!(f, "{up}.{key}"),
+            Path::Index(up, i) => write!(f, "{up}[{i}]"),
+        }
     }
 }
 
-fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        None => Err(format!("unexpected end of input at byte {pos}")),
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, "true"),
-        Some(b'f') => literal(b, pos, "false"),
-        Some(b'n') => literal(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        Some(c) => Err(format!("unexpected byte {:?} at {}", *c as char, pos)),
+impl Schema {
+    /// Checks that `text` is one JSON document of this shape, without
+    /// building a tree: it allocates only to unescape a key or tag that
+    /// holds an escape, or to report a failure. The error names the path
+    /// of the offending value, e.g. `runs[3]: missing "quality"`.
+    pub(crate) fn validate(&self, text: &str) -> Result<(), String> {
+        let mut sc = Scanner { text, pos: 0 };
+        self.check(&mut sc, Path::Root)?;
+        sc.finish()
     }
-}
 
-fn literal(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
+    fn check(&self, sc: &mut Scanner, path: Path) -> Result<(), String> {
+        let at = |e: String| match path {
+            Path::Root => e,
+            _ => format!("{path}: {e}"),
+        };
+        sc.peek();
+        let start = sc.pos;
+        let found = |expected: String, found: &str| {
+            at(format!(
+                "expected {expected}, found {found} at byte {start}"
+            ))
+        };
+        match self {
+            Schema::U64 => {
+                let raw = sc.number().map_err(at)?;
+                if raw.parse::<u64>().is_err() {
+                    return Err(found("an unsigned integer".into(), raw));
+                }
+            }
+            Schema::Num if sc.keyword("null") => {}
+            Schema::Num => drop(sc.number().map_err(at)?),
+            Schema::Str => drop(sc.scan_string(|_, _| {}).map_err(at)?),
+            Schema::Bool if sc.keyword("true") || sc.keyword("false") => {}
+            Schema::Bool => return Err(at(sc.expected("a boolean"))),
+            Schema::Version(v) => {
+                let raw = sc.number().map_err(at)?;
+                if raw.parse::<u64>() != Ok(u64::from(*v)) {
+                    return Err(found(format!("version {v}"), raw));
+                }
+            }
+            Schema::Tag(tag) => {
+                let s = sc.string().map_err(at)?;
+                if s != *tag {
+                    return Err(found(format!("{tag:?}"), &format!("{s:?}")));
+                }
+            }
+            Schema::Nullable(_) if sc.keyword("null") => {}
+            Schema::Nullable(inner) | Schema::Opt(inner) => inner.check(sc, path)?,
+            Schema::Obj(fields) => {
+                if sc.peek() != Some(b'{') {
+                    return Err(at(sc.expected("an object")));
+                }
+                debug_assert!(fields.len() <= 64, "`seen` has one bit per field");
+                let mut seen = 0u64; // bit i: fields[i] was present
+                sc.object(|key, sc| {
+                    let Some(i) = fields.iter().position(|(name, _)| *name == key) else {
+                        return sc.skip();
+                    };
+                    let (name, field) = &fields[i];
+                    if seen & (1 << i) != 0 {
+                        return Err(at(sc.error(format_args!("duplicate key {name:?}"))));
+                    }
+                    seen |= 1 << i;
+                    field.check(sc, Path::Key(&path, name))
+                })?;
+                let missing = fields.iter().enumerate().find(|(i, (_, field))| {
+                    seen & (1 << i) == 0 && !matches!(field, Schema::Opt(_))
+                });
+                if let Some((_, (name, _))) = missing {
+                    return Err(at(format!("missing {name:?}")));
+                }
+            }
+            Schema::ArrOf(item) => {
+                if sc.peek() != Some(b'[') {
+                    return Err(at(sc.expected("an array")));
+                }
+                let mut i = 0;
+                sc.array(|sc| {
+                    i += 1;
+                    item.check(sc, Path::Index(&path, i - 1))
+                })?;
+            }
+        }
         Ok(())
-    } else {
-        Err(format!("expected `{lit}` at byte {pos}"))
-    }
-}
-
-fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut digits = 0;
-    while *pos < b.len() && (b[*pos].is_ascii_digit() || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-')) {
-        digits += 1;
-        *pos += 1;
-    }
-    if digits == 0 {
-        return Err(format!("malformed number at byte {start}"));
-    }
-    Ok(())
-}
-
-fn string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    while *pos < b.len() {
-        match b[*pos] {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 2; // skip the escaped byte (surrogate pairs parse as 2 escapes)
-            }
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}"));
-        }
-        string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected `:` at byte {pos}"));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write as _;
 
     #[test]
-    fn escaping_round_trips_through_validation() {
+    fn escaping_round_trips_through_parse() {
+        let original = "a \"quoted\"\nline\twith \\ control \u{1} é";
         let mut s = String::new();
-        push_str(&mut s, "a \"quoted\"\nline\twith \\ control \u{1}");
-        validate_json(&s).unwrap();
+        push_str(&mut s, original);
         assert!(s.starts_with('"') && s.ends_with('"'));
         assert!(s.contains("\\u0001"));
+        assert_eq!(parse(&s).unwrap(), JsonValue::Str(original.into()));
+        let v = JsonValue::Str(original.into());
+        assert_eq!(parse(&v.render()).unwrap(), v);
     }
 
     #[test]
@@ -195,24 +557,44 @@ mod tests {
         s.clear();
         push_f64(&mut s, f64::INFINITY);
         assert_eq!(s, "null");
+        s.clear();
+        let _ = write!(s, "{}", 0.25f64);
+        assert_eq!(parse(&s).unwrap().render(), "0.25");
     }
 
     #[test]
-    fn validator_accepts_wellformed() {
+    fn parses_and_rerenders_compactly() {
+        let doc =
+            r#" { "a" : [ 1 , 2.5 , -3e2 ] , "b" : { "c" : null , "d" : true } , "e" : "x\ny" } "#;
+        let v = parse(doc).unwrap();
+        assert_eq!(
+            v.render(),
+            r#"{"a":[1,2.5,-3e2],"b":{"c":null,"d":true},"e":"x\ny"}"#
+        );
+        // Rendering is a fixed point: parse(render(v)) == v.
+        assert_eq!(parse(&v.render()).unwrap(), v);
         for ok in [
             "{}",
             "[]",
             "null",
-            "-1.5e3",
-            r#"{"a":[1,2,{"b":"c"}],"d":null,"e":true}"#,
-            "  { \"x\" : [ 1 , 2 ] }  ",
+            "-0",
+            "0.5E+2",
+            r#""\u00e9\/\b\f""#,
+            "  [ 1 , 2 ]  ",
         ] {
-            validate_json(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
+            parse(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
         }
     }
 
     #[test]
-    fn validator_rejects_malformed() {
+    fn numbers_keep_their_raw_text() {
+        let v = parse("18446744073709551615").unwrap();
+        assert_eq!(v, JsonValue::Num("18446744073709551615".into()));
+        assert_eq!(v.render(), "18446744073709551615");
+    }
+
+    #[test]
+    fn rejects_malformed_documents() {
         for bad in [
             "",
             "{",
@@ -220,10 +602,138 @@ mod tests {
             "{\"a\"1}",
             "{\"a\":1,}",
             "\"unterminated",
-            "{} trailing",
-            "{'single':1}",
+            "{} x",
+            "1.",
+            "-",
+            "1e",
+            "{'k':1}",
+            "nul",
+            "01",
+            "[1-2e+.]",
+            "\"\\q\"",
+            "\"\\u12g4\"",
+            "\"tab\there\"",
+            "{\"a\":1,\"a\":2}",
         ] {
-            assert!(validate_json(bad).is_err(), "{bad:?} must be rejected");
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+        let err = parse(r#"{"a":1,"a":2}"#).unwrap_err();
+        assert!(err.contains("duplicate key"), "{err}");
+    }
+
+    #[test]
+    fn get_walks_objects() {
+        let v = parse(r#"{"a":{"b":7}}"#).unwrap();
+        assert_eq!(
+            v.get("a").and_then(|a| a.get("b")),
+            Some(&JsonValue::Num("7".into()))
+        );
+        assert_eq!(v.get("missing"), None);
+    }
+
+    static POINT: Schema = Schema::Obj(&[("x", Schema::U64), ("tag", Schema::Opt(&Schema::Str))]);
+    static DOC: Schema = Schema::Obj(&[
+        ("v", Schema::Version(2)),
+        ("kind", Schema::Tag("pts")),
+        ("scale", Schema::Num),
+        ("on", Schema::Bool),
+        ("origin", Schema::Nullable(&POINT)),
+        ("points", Schema::ArrOf(&POINT)),
+    ]);
+
+    #[test]
+    fn schema_walk_checks_types_paths_and_unknown_keys() {
+        let ok = r#"{"v":2,"kind":"pts","scale":null,"on":true,"origin":null,"extra":{"y":[1]},"points":[{"x":1},{"x":2,"tag":"b"}]}"#;
+        DOC.validate(ok).unwrap();
+        for (bad, want) in [
+            (ok.replace(r#"{"x":2,"#, "{"), r#"points[1]: missing "x""#),
+            (
+                ok.replace(r#""x":2"#, r#""x":-2"#),
+                "points[1].x: expected an unsigned integer, found -2",
+            ),
+            (
+                ok.replace(r#""v":2"#, r#""v":21"#),
+                "v: expected version 2, found 21",
+            ),
+            (
+                ok.replace(r#""pts""#, r#""pt""#),
+                r#"kind: expected "pts", found "pt""#,
+            ),
+            (
+                ok.replace("null,\"on\"", "\"1\",\"on\""),
+                "scale: expected a number",
+            ),
+            (
+                ok.replace(r#""origin":null"#, r#""origin":{"tag":"o"}"#),
+                r#"origin: missing "x""#,
+            ),
+            (
+                ok.replace(r#""on":true"#, r#""on":true,"on":false"#),
+                r#"duplicate key "on""#,
+            ),
+            (ok.replace("[1]", "[1,]"), "expected a value"),
+            (ok.to_string() + "x", "trailing garbage"),
+        ] {
+            let err = DOC.validate(&bad).unwrap_err();
+            assert!(err.contains(want), "{bad}: {err}");
+        }
+    }
+
+    /// Every field a schema table names must be documented in its
+    /// SCHEMA.md section.
+    #[test]
+    fn schema_tables_match_schema_md() {
+        fn names(schema: &Schema, out: &mut Vec<&'static str>) {
+            match schema {
+                Schema::Nullable(inner) | Schema::Opt(inner) | Schema::ArrOf(inner) => {
+                    names(inner, out)
+                }
+                Schema::Obj(fields) => {
+                    for (name, field) in *fields {
+                        out.push(*name);
+                        names(field, out);
+                    }
+                }
+                _ => {}
+            }
+        }
+        let doc = include_str!("../../../SCHEMA.md");
+        let section = |heading: &str| {
+            let start = doc
+                .find(heading)
+                .unwrap_or_else(|| panic!("no section {heading:?}"));
+            let body = &doc[start + heading.len()..];
+            // A `##` section runs to the next `## `; a `###` one to the next heading.
+            let next = if heading.starts_with("### ") {
+                "\n##"
+            } else {
+                "\n## "
+            };
+            &body[..body.find(next).unwrap_or(body.len())]
+        };
+        for (table, heading) in [
+            (&crate::stats::STATS_DOC, "## Version history"),
+            (&crate::stats::HOST_BENCH_DOC, "## Version history"),
+            (
+                &crate::campaign::PROFILE_DOC,
+                "### `<out>/<name>.campaign_profile.json`",
+            ),
+            (&crate::campaign::HEARTBEAT_DOC, "### Heartbeat lines"),
+            (
+                &crate::campaign::BENCH_HISTORY_DOC,
+                "### `results/BENCH_history.jsonl`",
+            ),
+        ] {
+            let text = section(heading);
+            let mut fields = Vec::new();
+            names(table, &mut fields);
+            assert!(!fields.is_empty());
+            for name in fields {
+                assert!(
+                    text.contains(&format!("`{name}`")) || text.contains(&format!("\"{name}\"")),
+                    "SCHEMA.md section {heading:?} does not document field {name:?}"
+                );
+            }
         }
     }
 }

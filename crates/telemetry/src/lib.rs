@@ -30,6 +30,9 @@
 //! * **Coverage fingerprints** ([`CoverageFingerprint`]) — bucketed
 //!   behavioral regimes extracted from [`RobotRunStats`], the novelty
 //!   signal behind the coverage-guided scenario synthesizer.
+//! * **JSON** ([`json`]) — the workspace's one JSON grammar: the writer
+//!   every export uses, the [`json::JsonValue`] tree scenarios are read
+//!   into, and the schema tables the `validate_*` functions check.
 //! * **Shrinking** ([`greedy_min_subset`]) — the deterministic ddmin loop
 //!   the oracle's fuzzer and the scenario synthesizer both minimize with.
 //!
@@ -44,7 +47,7 @@ mod chrome;
 mod coverage;
 mod event;
 mod hist;
-mod json;
+pub mod json;
 mod metrics;
 mod report;
 mod shrink;
@@ -61,7 +64,7 @@ pub use coverage::{CoverageFingerprint, MissRegime, PrefetchBand, SupervisionVer
 pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 pub use event::{CacheOutcome, Event, FaultSite, Interest, Level};
 pub use hist::{Histogram, SAMPLE_CAP};
-pub use json::{push_f64, push_str, validate_json};
+pub use json::{push_f64, push_str};
 pub use report::{PhaseNode, Report, ReportBuilder, ScopeCounters};
 pub use shrink::greedy_min_subset;
 pub use sink::{

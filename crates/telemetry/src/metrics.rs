@@ -212,7 +212,7 @@ mod tests {
             vec![("alpha".to_string(), 2), ("zeta".to_string(), 1)]
         );
         let json = snap.to_json();
-        crate::json::validate_json(&json).unwrap();
+        crate::json::parse(&json).unwrap();
         assert_eq!(
             json,
             "{\"counters\":{\"alpha\":2,\"zeta\":1},\"gauges\":{\"mid\":9}}"

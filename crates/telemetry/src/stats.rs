@@ -12,6 +12,7 @@
 //! * Removing or renaming a field → same, and call it out as breaking.
 //! * Consumers must ignore unknown fields.
 
+use crate::json::Schema::{self, ArrOf, Nullable, Num, Obj, Opt, Str, Version, U64};
 use crate::json::{push_f64, push_str};
 
 /// Version of the `stats.json` schema emitted by [`StatsExport::to_json`].
@@ -476,62 +477,121 @@ impl HostBenchExport {
     }
 }
 
-/// Structurally validates a `BENCH_host.json` document: well-formed JSON,
-/// the current [`STATS_SCHEMA_VERSION`], and the required top-level and
-/// per-run keys. The `"warm"` section is optional (v3).
+const CACHE: Schema = Obj(&[
+    ("accesses", U64),
+    ("hits", U64),
+    ("misses", U64),
+    ("miss_ratio", Num),
+    ("prefetch_covered", U64),
+    ("prefetches_issued", U64),
+    ("prefetches_useful", U64),
+    ("prefetches_late", U64),
+    ("evictions", U64),
+    ("writebacks", U64),
+]);
+
+const RUN: Schema = Obj(&[
+    ("robot", Str),
+    ("config", Str),
+    ("wall_cycles", U64),
+    ("instructions", U64),
+    ("quality", Num),
+    ("l1", CACHE),
+    ("l2", CACHE),
+    ("l3", CACHE),
+    ("dram_bytes", U64),
+    ("l3_traffic_bytes", U64),
+    ("npu_invocations", U64),
+    ("supervision", Nullable(&SUPERVISION)),
+    ("faults", FAULTS),
+    ("phases", ArrOf(&PHASE)),
+]);
+
+const SUPERVISION: Schema = Obj(&[
+    ("invocations", U64),
+    ("rollbacks", U64),
+    ("cpu_fallbacks", U64),
+]);
+
+const FAULTS: Schema = Obj(&[
+    ("injected", U64),
+    ("detected", U64),
+    ("recovered", U64),
+    ("unrecovered", U64),
+]);
+
+const PHASE: Schema = Obj(&[("name", Str), ("cycles", U64), ("instructions", U64)]);
+
+const FAILURE: Schema = Obj(&[
+    ("robot", Str),
+    ("config", Str),
+    ("label", Str),
+    ("group", Str),
+    ("attempts", U64),
+    ("message", Str),
+]);
+
+/// The `stats.json` schema table (SCHEMA.md "Version history").
+pub(crate) static STATS_DOC: Schema = Obj(&[
+    ("schema_version", Version(STATS_SCHEMA_VERSION)),
+    ("generator", Str),
+    ("runs", ArrOf(&RUN)),
+    ("failures", ArrOf(&FAILURE)),
+]);
+
+/// A cold `BENCH_host.json` row: `cold_host_nanos` is absent, or present
+/// under the ignore-unknown-fields rule.
+const HOST_RUN: Schema = Obj(&[
+    ("robot", Str),
+    ("config", Str),
+    ("wall_cycles", U64),
+    ("host_nanos", U64),
+    ("cold_host_nanos", Opt(&U64)),
+    ("sim_cycles_per_host_sec", Num),
+]);
+
+/// A warm row: its throughput is computed against `cold_host_nanos`, so
+/// the field is required.
+const WARM_RUN: Schema = Obj(&[
+    ("robot", Str),
+    ("config", Str),
+    ("wall_cycles", U64),
+    ("host_nanos", U64),
+    ("cold_host_nanos", U64),
+    ("sim_cycles_per_host_sec", Num),
+]);
+
+/// The `BENCH_host.json` schema table; the `warm` section is optional (v3).
+pub(crate) static HOST_BENCH_DOC: Schema = Obj(&[
+    ("schema_version", Version(STATS_SCHEMA_VERSION)),
+    ("generator", Str),
+    ("jobs", U64),
+    ("total_host_nanos", U64),
+    ("runs_per_sec", Num),
+    ("runs", ArrOf(&HOST_RUN)),
+    (
+        "warm",
+        Opt(&Obj(&[
+            ("total_host_nanos", U64),
+            ("runs_per_sec", Num),
+            ("runs", ArrOf(&WARM_RUN)),
+        ])),
+    ),
+]);
+
+/// Validates a `BENCH_host.json` document against its schema table: the
+/// current [`STATS_SCHEMA_VERSION`], and every required key with the right
+/// type, in the document and in every run row. Unknown keys are skipped.
 pub fn validate_host_bench_json(s: &str) -> Result<(), String> {
-    crate::json::validate_json(s)?;
-    let expect = format!("\"schema_version\":{STATS_SCHEMA_VERSION}");
-    if !s.contains(&expect) {
-        return Err(format!("missing or mismatched {expect}"));
-    }
-    for key in ["\"generator\":", "\"jobs\":", "\"total_host_nanos\":", "\"runs_per_sec\":", "\"runs\":"] {
-        if !s.contains(key) {
-            return Err(format!("missing top-level key {key}"));
-        }
-    }
-    if s.contains("\"robot\":") {
-        for key in ["\"wall_cycles\":", "\"host_nanos\":", "\"sim_cycles_per_host_sec\":"] {
-            if !s.contains(key) {
-                return Err(format!("missing per-run key {key}"));
-            }
-        }
-    }
-    Ok(())
+    HOST_BENCH_DOC.validate(s)
 }
 
-/// Structurally validates a `stats.json` document: well-formed JSON, the
-/// current [`STATS_SCHEMA_VERSION`], and the required top-level and
-/// per-run keys. Used by tests and the CI schema guard.
+/// Validates a `stats.json` document against its schema table: the current
+/// [`STATS_SCHEMA_VERSION`], and every required key with the right type,
+/// in the document, every run record and every failure record. Unknown
+/// keys are skipped.
 pub fn validate_stats_json(s: &str) -> Result<(), String> {
-    crate::json::validate_json(s)?;
-    let expect = format!("\"schema_version\":{STATS_SCHEMA_VERSION}");
-    if !s.contains(&expect) {
-        return Err(format!("missing or mismatched {expect}"));
-    }
-    for key in ["\"generator\":", "\"runs\":", "\"failures\":"] {
-        if !s.contains(key) {
-            return Err(format!("missing top-level key {key}"));
-        }
-    }
-    // Per-run keys are only required if any run is present.
-    if s.contains("\"robot\":") {
-        for key in [
-            "\"wall_cycles\":",
-            "\"instructions\":",
-            "\"quality\":",
-            "\"l1\":",
-            "\"l2\":",
-            "\"l3\":",
-            "\"faults\":",
-            "\"phases\":",
-        ] {
-            if !s.contains(key) {
-                return Err(format!("missing per-run key {key}"));
-            }
-        }
-    }
-    Ok(())
+    STATS_DOC.validate(s)
 }
 
 #[cfg(test)]
@@ -618,10 +678,54 @@ mod tests {
 
     #[test]
     fn validator_rejects_wrong_version() {
-        let json = sample_export()
-            .to_json()
-            .replace("\"schema_version\":3", "\"schema_version\":9999");
-        assert!(validate_stats_json(&json).is_err());
+        for version in ["9999", "31", "3.0", "\"3\""] {
+            let json = sample_export().to_json().replace(
+                "\"schema_version\":3",
+                &format!("\"schema_version\":{version}"),
+            );
+            let err = validate_stats_json(&json).unwrap_err();
+            assert!(
+                err.starts_with("schema_version: expected"),
+                "{version}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn validator_rejects_mistyped_and_malformed_documents() {
+        let json = sample_export().to_json();
+        for (bad, want) in [
+            (
+                json.replace("\"generator\":\"unit_test\"", "\"generator\":7"),
+                "generator: expected a string",
+            ),
+            (
+                json.replace("\"wall_cycles\":123456", "\"wall_cycles\":-1"),
+                "runs[0].wall_cycles: expected an unsigned integer",
+            ),
+            (
+                json.replace("\"quality\":0.997", "\"quality\":\"high\""),
+                "runs[0].quality: expected a number",
+            ),
+            (
+                json.replace("\"generator\":", "\"generator\":\"a\",\"generator\":"),
+                "duplicate key \"generator\"",
+            ),
+            (json.replace("\"unit_test\"", "\"\\q\""), "bad escape"),
+            (
+                json.replace("\"dram_bytes\":64000", "\"dram_bytes\":[1-2e+.]"),
+                "expected a number",
+            ),
+        ] {
+            let err = validate_stats_json(&bad).unwrap_err();
+            assert!(err.contains(want), "{bad}: {err}");
+        }
+        // Unknown keys are skipped, at any depth, once they parse.
+        let extended = json.replace(
+            "\"dram_bytes\":",
+            "\"future\":{\"x\":[null]},\"dram_bytes\":",
+        );
+        validate_stats_json(&extended).unwrap();
     }
 
     #[test]
@@ -680,6 +784,28 @@ mod tests {
     fn validator_rejects_missing_run_keys() {
         let json = sample_export().to_json().replace("\"quality\":", "\"q\":");
         assert!(validate_stats_json(&json).is_err());
+        // Only the second record lacks `quality`: each record is checked.
+        let mut e = sample_export();
+        e.runs.push(e.runs[0].clone());
+        let mut records: Vec<String> = e.runs.iter().map(RobotRunStats::to_json_record).collect();
+        records[1] = records[1].replace("\"quality\":", "\"q\":");
+        let err = validate_stats_json(&stats_export_json("t", &records, &[])).unwrap_err();
+        assert_eq!(err, "runs[1]: missing \"quality\"");
+    }
+
+    // A campaign whose every job failed still writes its failure report.
+    #[test]
+    fn all_failed_export_validates() {
+        let failure = JobFailureStats {
+            robot: "DeliBot".into(),
+            config: "tartan".into(),
+            label: "l".into(),
+            group: "g".into(),
+            attempts: 1,
+            message: "boom".into(),
+        };
+        let json = stats_export_json("t", &[], &[failure]);
+        validate_stats_json(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
     }
 
     #[test]
@@ -757,9 +883,20 @@ mod tests {
         let mut e = sample_host_export();
         let json = e.to_json();
         assert!(!json.contains("\"warm\":"), "warm must be absent by default");
+        // Warm rows carry the cold pass's simulation time, as bench_tier1
+        // writes them.
+        let warm_runs = e
+            .runs
+            .iter()
+            .map(|r| HostRunStats {
+                host_nanos: 1_000,
+                cold_host_nanos: Some(r.host_nanos),
+                ..r.clone()
+            })
+            .collect();
         e.warm = Some(WarmBenchStats {
             total_host_nanos: 100_000_000,
-            runs: e.runs.clone(),
+            runs: warm_runs,
         });
         let json = e.to_json();
         validate_host_bench_json(&json).unwrap_or_else(|err| panic!("{json}: {err}"));
@@ -777,5 +914,18 @@ mod tests {
             .to_json()
             .replace("\"host_nanos\":", "\"hn\":");
         assert!(validate_host_bench_json(&json).is_err());
+        // A warm row missing cold_host_nanos while the other warm row has it.
+        let mut e = sample_host_export();
+        let mut warm_runs = e.runs.clone();
+        warm_runs[1].cold_host_nanos = Some(7);
+        e.warm = Some(WarmBenchStats {
+            total_host_nanos: 1,
+            runs: warm_runs,
+        });
+        let err = validate_host_bench_json(&e.to_json()).unwrap_err();
+        assert!(
+            err.contains("warm.runs[0]: missing \"cold_host_nanos\""),
+            "{err}"
+        );
     }
 }

@@ -21,7 +21,8 @@
 //! summary line to `results/BENCH_history.jsonl` (see `SCHEMA.md`), the
 //! input to `bench_compare`'s regression check.
 //!
-//! Exits non-zero if any run's stats fail schema validation.
+//! Exits non-zero if an export fails schema validation;
+//! the error names the offending record (`runs[3]: missing "quality"`).
 
 use std::fs::{self, OpenOptions};
 use std::io::Write as _;
@@ -98,7 +99,6 @@ fn main() {
         runs: Vec::new(),
         warm: None,
     };
-    let mut schema_ok = true;
     for (job, slot) in campaign.plan.jobs.iter().zip(&result.results) {
         let out = slot.as_ref().expect("failures already handled");
         let outcome = out.outcome.as_ref().expect("cold pass keeps outcomes");
@@ -113,15 +113,6 @@ fn main() {
             out.host_nanos as f64 / 1e6,
         );
         let run = outcome.to_run_stats(&job.config);
-        let single = StatsExport {
-            generator: "bench_tier1".into(),
-            runs: vec![run.clone()],
-            failures: Vec::new(),
-        };
-        if let Err(e) = validate_stats_json(&single.to_json()) {
-            eprintln!("bench_tier1: {} {config}: schema violation: {e}", out.robot);
-            schema_ok = false;
-        }
         host.runs.push(HostRunStats {
             robot: run.robot.clone(),
             config: run.config.clone(),
@@ -242,7 +233,4 @@ fn main() {
         total_host_nanos as f64 / 1e9,
         host.runs_per_sec(),
     );
-    if !schema_ok {
-        std::process::exit(1);
-    }
 }

@@ -3,9 +3,11 @@
 
 use tartan::core::{run_robot, ExperimentParams, MachineConfig, RobotKind, SoftwareConfig};
 use tartan::robots::Scale;
+use tartan::sim::telemetry::json::parse;
 use tartan::sim::telemetry::{
-    chrome_trace_json, shared, validate_json, validate_stats_json, CountingSink, JsonLinesSink,
-    Level, RingBufferSink, StatsExport,
+    chrome_trace_json, shared, stats_export_json, validate_bench_history_line,
+    validate_host_bench_json, validate_stats_json, CountingSink, JsonLinesSink, Level,
+    RingBufferSink, RobotRunStats, StatsExport,
 };
 use tartan::sim::{Machine, MachineStats};
 
@@ -32,7 +34,7 @@ fn same_seed_runs_trace_identically() {
     assert_eq!(a, b, "same-seed event streams must be byte-identical");
     assert_eq!(stats_a, stats_b);
     for line in a.lines().take(500) {
-        validate_json(line).unwrap_or_else(|e| panic!("bad event line {line}: {e}"));
+        parse(line).unwrap_or_else(|e| panic!("bad event line {line}: {e}"));
     }
 }
 
@@ -109,7 +111,7 @@ fn reports_are_deterministic_and_structured() {
     let iter = root.child("iteration").expect("iteration scope");
     assert_eq!(iter.instances, params.steps as u64);
     assert!(iter.latency.p99() >= iter.latency.p50());
-    validate_json(&a.report.to_json()).unwrap();
+    parse(&a.report.to_json()).unwrap();
 }
 
 #[test]
@@ -135,7 +137,7 @@ fn flybot_exports_valid_chrome_trace_and_stats_json() {
     let events = ring.lock().unwrap().events();
     assert!(!events.is_empty());
     let trace = chrome_trace_json("FlyBot", &events);
-    validate_json(&trace).unwrap_or_else(|e| panic!("chrome trace invalid: {e}"));
+    parse(&trace).unwrap_or_else(|e| panic!("chrome trace invalid: {e}"));
     assert!(trace.contains("\"traceEvents\""));
 
     let out = run_robot(
@@ -153,4 +155,54 @@ fn flybot_exports_valid_chrome_trace_and_stats_json() {
         failures: Vec::new(),
     };
     validate_stats_json(&export.to_json()).unwrap();
+}
+
+#[test]
+fn checked_in_bench_artifacts_validate() {
+    let read = |name: &str| {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("results")
+            .join(name);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    };
+    validate_stats_json(&read("BENCH_tier1.json"))
+        .unwrap_or_else(|e| panic!("BENCH_tier1.json: {e}"));
+    validate_host_bench_json(&read("BENCH_host.json"))
+        .unwrap_or_else(|e| panic!("BENCH_host.json: {e}"));
+    let history = read("BENCH_history.jsonl");
+    assert!(history.lines().count() > 0);
+    for (i, line) in history.lines().enumerate() {
+        validate_bench_history_line(line)
+            .unwrap_or_else(|e| panic!("BENCH_history.jsonl line {}: {e}", i + 1));
+    }
+}
+
+/// Parsing and validating must stay linear in the document's length: a
+/// 1 MiB string value plus about 1 MiB of run records, well inside 2 s
+/// even unoptimized. A scan that re-reads the rest of the input per
+/// string character takes minutes here.
+#[test]
+fn parse_and_validate_take_linear_time() {
+    let generator: String = "ab\"é\n".repeat((1 << 20) / 6);
+    let record = RobotRunStats {
+        robot: "FlyBot".into(),
+        config: "tartan".into(),
+        ..RobotRunStats::default()
+    }
+    .to_json_record();
+    let records = vec![record.clone(); (1 << 20) / record.len()];
+    let doc = stats_export_json(&generator, &records, &[]);
+    assert!(doc.len() > 2_000_000, "{} bytes", doc.len());
+    let start = std::time::Instant::now();
+    let tree = parse(&doc).unwrap();
+    validate_stats_json(&doc).unwrap();
+    let elapsed = start.elapsed();
+    assert_eq!(
+        tree.get("generator"),
+        Some(&tartan::scenario::json::JsonValue::Str(generator))
+    );
+    assert!(
+        elapsed.as_secs_f64() < 2.0,
+        "parse + validate took {elapsed:?}"
+    );
 }
