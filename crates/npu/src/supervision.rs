@@ -311,18 +311,6 @@ impl SupervisedNpu {
         })
     }
 
-    /// Overrides the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Overrides the health/demotion policy.
-    pub fn with_health(mut self, health: NpuHealth) -> Self {
-        self.health = health;
-        self
-    }
-
     /// The wrapped accelerator id.
     pub fn accel_id(&self) -> AccelId {
         self.accel

@@ -19,11 +19,8 @@
 
 use crate::error::ScenarioError;
 use crate::id::ConfigId;
-use crate::json::{parse, JsonValue};
-use crate::spec::{
-    arr, join, keyword, obj, str_of, u64_of, unknown_field, MachineSpec, ParamsSpec, SoftwareSpec,
-    SCENARIO_SCHEMA_VERSION,
-};
+use crate::json::{arr, join, keyword, obj, parse, str_of, u64_of, unknown_field, JsonValue};
+use crate::spec::{MachineSpec, ParamsSpec, SoftwareSpec, SCENARIO_SCHEMA_VERSION};
 use tartan_robots::{RobotKind, Scale, SoftwareConfig};
 use tartan_sim::MachineConfig;
 

@@ -12,7 +12,8 @@
 //!   canonicalization the scenario layer round-trips through, so two
 //!   scenario documents that resolve to the same configuration produce the
 //!   same key,
-//! * every field of the workload [`Scale`], the step count, and the seed,
+//! * every field of the workload [`Scale`](tartan_robots::Scale) (the
+//!   scale table in `spec.rs`), the step count, and the seed,
 //! * [`CACHE_KEY_VERSION`] and the stats schema version
 //!   ([`tartan_telemetry::STATS_SCHEMA_VERSION`]), so a format change on
 //!   either side invalidates old entries instead of mis-serving them.
@@ -24,8 +25,7 @@
 
 use crate::expand::{ExperimentParams, PlannedJob};
 use crate::json::JsonValue;
-use crate::spec::{MachineSpec, SoftwareSpec};
-use tartan_robots::Scale;
+use crate::spec::{scale_value, MachineSpec, SoftwareSpec};
 
 /// Version of the canonical rendering below. Bump whenever the rendering
 /// (field set, order, or semantics) changes, so stale store entries become
@@ -34,53 +34,6 @@ pub const CACHE_KEY_VERSION: u32 = 1;
 
 fn num(n: impl ToString) -> JsonValue {
     JsonValue::Num(n.to_string())
-}
-
-fn pair((a, b): (usize, usize)) -> JsonValue {
-    JsonValue::Arr(vec![num(a), num(b)])
-}
-
-/// Every [`Scale`] field, in declaration order. All fields are listed
-/// explicitly so adding a field to `Scale` without extending this
-/// rendering is a compile error (via the exhaustive destructuring).
-fn scale_value(s: &Scale) -> JsonValue {
-    let Scale {
-        grid2,
-        grid3,
-        particles,
-        rays,
-        rrt_nodes,
-        map_points,
-        source_points,
-        image_side,
-        pca_k,
-        patrol_hidden,
-        train_epochs,
-        heuristic_samples,
-        theta_bins,
-        depth_side,
-        cnn_input,
-        delibot_grid,
-    } = *s;
-    let (g3a, g3b, g3c) = grid3;
-    JsonValue::Obj(vec![
-        ("grid2".into(), num(grid2)),
-        ("grid3".into(), JsonValue::Arr(vec![num(g3a), num(g3b), num(g3c)])),
-        ("particles".into(), num(particles)),
-        ("rays".into(), num(rays)),
-        ("rrt_nodes".into(), num(rrt_nodes)),
-        ("map_points".into(), num(map_points)),
-        ("source_points".into(), num(source_points)),
-        ("image_side".into(), num(image_side)),
-        ("pca_k".into(), num(pca_k)),
-        ("patrol_hidden".into(), pair(patrol_hidden)),
-        ("train_epochs".into(), num(train_epochs)),
-        ("heuristic_samples".into(), num(heuristic_samples)),
-        ("theta_bins".into(), num(theta_bins)),
-        ("depth_side".into(), num(depth_side)),
-        ("cnn_input".into(), num(cnn_input)),
-        ("delibot_grid".into(), num(delibot_grid)),
-    ])
 }
 
 impl PlannedJob {

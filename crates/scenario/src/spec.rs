@@ -13,83 +13,32 @@
 //! Two fields are *double-optional*: `machine.fcp` and
 //! `machine.fault_plan`. Omitting them inherits; an explicit JSON `null`
 //! disables the feature even if an earlier layer enabled it.
+//!
+//! Each spec type is declared once, as an ordered field list (the render
+//! order) handed to the `partial!` macro, which derives the struct, its
+//! parser, renderer and merge, and the resolve/diff pair that maps it onto
+//! its simulator config. What differs per *value* (number, keyword, nested
+//! partial, switchable partial) lives in the `Value` trait. [`Scale`] gets
+//! the same treatment from one table: `adjust` and the cache key share it.
 
 use crate::error::ScenarioError;
-use crate::json::JsonValue;
+use crate::json::{
+    arr, join, keyword, number, obj, str_of, type_err, u64_of, unknown_field, JsonValue,
+};
 use tartan_robots::{NeuralExec, NnsKind, Scale, SoftwareConfig, VecMethod};
 use tartan_sim::{
-    FaultPlan, FcpConfig, FcpManipulation, MachineConfig, NpuMode, PrefetcherKind, VectorIsa,
+    CacheConfig, FaultPlan, FcpConfig, FcpManipulation, MachineConfig, NpuMode, PrefetcherKind,
+    VectorIsa,
 };
 
 /// Version of the scenario file format this build reads and writes.
 pub const SCENARIO_SCHEMA_VERSION: u64 = 1;
 
-// ----------------------------------------------------------- JSON helpers
+// ---------------------------------------------------------- value helpers
 
-pub(crate) fn join(path: &str, key: &str) -> String {
-    if path.is_empty() {
-        key.to_string()
-    } else {
-        format!("{path}.{key}")
-    }
-}
-
-fn type_err(path: &str, expected: &str, got: &JsonValue) -> ScenarioError {
-    ScenarioError::new(path, format!("expected {expected}, got {}", got.kind()))
-}
-
-pub(crate) fn obj<'a>(
-    v: &'a JsonValue,
-    path: &str,
-) -> Result<&'a [(String, JsonValue)], ScenarioError> {
-    match v {
-        JsonValue::Obj(fields) => Ok(fields),
-        other => Err(type_err(path, "an object", other)),
-    }
-}
-
-pub(crate) fn arr<'a>(v: &'a JsonValue, path: &str) -> Result<&'a [JsonValue], ScenarioError> {
-    match v {
-        JsonValue::Arr(items) => Ok(items),
-        other => Err(type_err(path, "an array", other)),
-    }
-}
-
-pub(crate) fn str_of<'a>(v: &'a JsonValue, path: &str) -> Result<&'a str, ScenarioError> {
-    match v {
-        JsonValue::Str(s) => Ok(s),
-        other => Err(type_err(path, "a string", other)),
-    }
-}
-
-pub(crate) fn u64_of(v: &JsonValue, path: &str) -> Result<u64, ScenarioError> {
-    match v {
-        JsonValue::Num(raw) => raw.parse::<u64>().map_err(|_| {
-            ScenarioError::new(path, format!("expected an unsigned integer, got {raw}"))
-        }),
-        other => Err(type_err(path, "an unsigned integer", other)),
-    }
-}
-
-fn u32_of(v: &JsonValue, path: &str) -> Result<u32, ScenarioError> {
+fn narrow<T: TryFrom<u64>>(v: &JsonValue, path: &str, width: &str) -> Result<T, ScenarioError> {
     let n = u64_of(v, path)?;
-    u32::try_from(n)
-        .map_err(|_| ScenarioError::new(path, format!("{n} does not fit in 32 bits")))
-}
-
-fn usize_of(v: &JsonValue, path: &str) -> Result<usize, ScenarioError> {
-    let n = u64_of(v, path)?;
-    usize::try_from(n)
-        .map_err(|_| ScenarioError::new(path, format!("{n} does not fit in a usize")))
-}
-
-fn f64_of(v: &JsonValue, path: &str) -> Result<f64, ScenarioError> {
-    match v {
-        JsonValue::Num(raw) => raw
-            .parse::<f64>()
-            .map_err(|_| ScenarioError::new(path, format!("expected a number, got {raw}"))),
-        other => Err(type_err(path, "a number", other)),
-    }
+    T::try_from(n).map_err(|_| ScenarioError::new(path, format!("{n} does not fit in {width}")))
 }
 
 fn bool_of(v: &JsonValue, path: &str) -> Result<bool, ScenarioError> {
@@ -99,46 +48,17 @@ fn bool_of(v: &JsonValue, path: &str) -> Result<bool, ScenarioError> {
     }
 }
 
-pub(crate) fn keyword<T: Copy>(
-    v: &JsonValue,
-    path: &str,
-    table: &[(&str, T)],
-) -> Result<T, ScenarioError> {
-    let s = str_of(v, path)?;
-    table
-        .iter()
-        .find(|(name, _)| *name == s)
-        .map(|(_, value)| *value)
-        .ok_or_else(|| {
-            let names: Vec<&str> = table.iter().map(|(name, _)| *name).collect();
-            ScenarioError::new(
-                path,
-                format!("unknown value {s:?} (expected one of {})", names.join(", ")),
-            )
-        })
-}
-
-fn keyword_name<T: PartialEq>(value: T, table: &[(&'static str, T)]) -> &'static str {
-    table
+fn keyword_value<T: PartialEq>(value: T, table: &[(&'static str, T)]) -> JsonValue {
+    let name = table
         .iter()
         .find(|(_, v)| *v == value)
         .map(|(name, _)| *name)
-        .expect("every enum variant has a table entry")
-}
-
-pub(crate) fn unknown_field(path: &str, key: &str, known: &[&str]) -> ScenarioError {
-    ScenarioError::new(
-        join(path, key),
-        format!("unknown field (known fields: {})", known.join(", ")),
-    )
+        .expect("every enum variant has a table entry");
+    JsonValue::Str(name.into())
 }
 
 fn num(n: u64) -> JsonValue {
     JsonValue::Num(n.to_string())
-}
-
-fn fnum(x: f64) -> JsonValue {
-    JsonValue::Num(format!("{x}"))
 }
 
 // Keyword tables: the single source of spelling for every enum the schema
@@ -174,607 +94,380 @@ const NEURAL_EXECS: [(&str, NeuralExec); 3] = [
     ("software", NeuralExec::Software),
 ];
 
-fn merge_opt<T: Clone>(base: &Option<T>, over: &Option<T>) -> Option<T> {
-    over.clone().or_else(|| base.clone())
+// ----------------------------------------------------------- field values
+
+/// One spec field's value: how it reads and renders, how a later layer
+/// merges over an earlier one, how it overrides the simulator-side value
+/// `Cfg`, and how the override that produces a given `Cfg` is recovered.
+trait Value: Clone {
+    type Cfg: PartialEq;
+    fn parse(v: &JsonValue, path: &str) -> Result<Self, ScenarioError>;
+    fn render(&self) -> JsonValue;
+    /// `over` layered on `base` when both set the field: leaves take
+    /// `over`, partials merge field-wise.
+    fn merge(_base: &Self, over: &Self) -> Self {
+        over.clone()
+    }
+    fn apply(&self, cfg: &mut Self::Cfg);
+    /// The override that turns `base` (absent: nothing to inherit) into
+    /// `cfg`, which differs from it.
+    fn diff(base: Option<&Self::Cfg>, cfg: &Self::Cfg) -> Self;
 }
 
-fn opt<T>(differs: bool, v: T) -> Option<T> {
-    if differs {
-        Some(v)
-    } else {
-        None
+fn merge_field<T: Value>(base: &Option<T>, over: &Option<T>) -> Option<T> {
+    match (base, over) {
+        (Some(b), Some(o)) => Some(T::merge(b, o)),
+        _ => over.clone().or_else(|| base.clone()),
     }
 }
 
-// -------------------------------------------------------------- CacheSpec
-
-/// Partial override of one cache level.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CacheSpec {
-    /// Total capacity in bytes.
-    pub size_bytes: Option<u64>,
-    /// Associativity.
-    pub ways: Option<u32>,
-    /// Access latency in cycles.
-    pub latency: Option<u64>,
+fn diff_field<T: Value>(base: Option<&T::Cfg>, cfg: &T::Cfg) -> Option<T> {
+    (base != Some(cfg)).then(|| T::diff(base, cfg))
 }
 
-impl CacheSpec {
-    const FIELDS: [&'static str; 3] = ["size_bytes", "ways", "latency"];
-
-    fn parse(v: &JsonValue, path: &str) -> Result<CacheSpec, ScenarioError> {
-        let mut spec = CacheSpec::default();
-        for (key, value) in obj(v, path)? {
-            let p = join(path, key);
-            match key.as_str() {
-                "size_bytes" => spec.size_bytes = Some(u64_of(value, &p)?),
-                "ways" => spec.ways = Some(u32_of(value, &p)?),
-                "latency" => spec.latency = Some(u64_of(value, &p)?),
-                _ => return Err(unknown_field(path, key, &Self::FIELDS)),
+/// Leaf values: numbers, flags and keywords override wholesale.
+macro_rules! leaf {
+    ($($t:ty: $parse:expr, $render:expr;)*) => {$(
+        impl Value for $t {
+            type Cfg = $t;
+            fn parse(v: &JsonValue, path: &str) -> Result<$t, ScenarioError> {
+                $parse(v, path)
+            }
+            fn render(&self) -> JsonValue {
+                $render(*self)
+            }
+            fn apply(&self, cfg: &mut $t) {
+                *cfg = *self;
+            }
+            fn diff(_: Option<&$t>, cfg: &$t) -> $t {
+                *cfg
             }
         }
-        Ok(spec)
-    }
+    )*};
+}
 
-    fn to_value(&self) -> JsonValue {
-        let mut fields = Vec::new();
-        if let Some(n) = self.size_bytes {
-            fields.push(("size_bytes".into(), num(n)));
-        }
-        if let Some(n) = self.ways {
-            fields.push(("ways".into(), num(u64::from(n))));
-        }
-        if let Some(n) = self.latency {
-            fields.push(("latency".into(), num(n)));
-        }
-        JsonValue::Obj(fields)
-    }
+leaf! {
+    u64: u64_of, num;
+    u32: |v, p| narrow(v, p, "32 bits"), |n: u32| num(u64::from(n));
+    usize: |v, p| narrow(v, p, "a usize"), |n: usize| num(n as u64);
+    f64: |v, p| number(v, p, "a number"), |x: f64| JsonValue::Num(format!("{x}"));
+    bool: bool_of, JsonValue::Bool;
+    VectorIsa: |v, p| keyword(v, p, &VECTOR_ISAS), |x| keyword_value(x, &VECTOR_ISAS);
+    PrefetcherKind: |v, p| keyword(v, p, &PREFETCHERS), |x| keyword_value(x, &PREFETCHERS);
+    FcpManipulation: |v, p| keyword(v, p, &MANIPULATIONS), |x| keyword_value(x, &MANIPULATIONS);
+    VecMethod: |v, p| keyword(v, p, &VEC_METHODS), |x| keyword_value(x, &VEC_METHODS);
+    NnsKind: |v, p| keyword(v, p, &NNS_KINDS), |x| keyword_value(x, &NNS_KINDS);
+    NeuralExec: |v, p| keyword(v, p, &NEURAL_EXECS), |x| keyword_value(x, &NEURAL_EXECS);
+    NpuMode: parse_npu, npu_to_value;
+}
 
-    fn merged(&self, over: &CacheSpec) -> CacheSpec {
-        CacheSpec {
-            size_bytes: over.size_bytes.or(self.size_bytes),
-            ways: over.ways.or(self.ways),
-            latency: over.latency.or(self.latency),
+/// A partial that a field can switch off: `fcp` and `fault_plan`.
+trait Toggle: Value {
+    /// What enabling starts from when no earlier layer enabled it.
+    fn base() -> Self::Cfg;
+}
+
+/// A switchable partial: the field omitted inherits, `null` disables, and
+/// an object enables with field-wise overrides over the inherited (or
+/// [`Toggle::base`]) parameters.
+impl<P: Toggle> Value for Option<P> {
+    type Cfg = Option<P::Cfg>;
+    fn parse(v: &JsonValue, path: &str) -> Result<Self, ScenarioError> {
+        match v {
+            JsonValue::Null => Ok(None),
+            other => P::parse(other, path).map(Some),
         }
     }
-
-    fn apply(&self, level: &mut tartan_sim::CacheConfig) {
-        if let Some(n) = self.size_bytes {
-            level.size_bytes = n;
+    fn render(&self) -> JsonValue {
+        self.as_ref().map_or(JsonValue::Null, P::render)
+    }
+    fn merge(base: &Self, over: &Self) -> Self {
+        match (base, over) {
+            (Some(b), Some(o)) => Some(P::merge(b, o)),
+            _ => over.clone(),
         }
-        if let Some(n) = self.ways {
-            level.ways = n;
-        }
-        if let Some(n) = self.latency {
-            level.latency = n;
-        }
+    }
+    fn apply(&self, cfg: &mut Option<P::Cfg>) {
+        let inherited = cfg.take();
+        *cfg = self.as_ref().map(|spec| {
+            let mut c = inherited.unwrap_or_else(P::base);
+            spec.apply(&mut c);
+            c
+        });
+    }
+    fn diff(_: Option<&Option<P::Cfg>>, cfg: &Option<P::Cfg>) -> Self {
+        cfg.as_ref().map(|c| P::diff(None, c))
     }
 }
 
-// ---------------------------------------------------------------- FcpSpec
-
-/// Partial override of the FCP parameters (base:
-/// [`FcpConfig::paper_default`] or whatever the preset already enables).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FcpSpec {
-    /// Region size in bytes.
-    pub region_bytes: Option<u64>,
-    /// XOR width.
-    pub xor_bits: Option<u32>,
-    /// Recency manipulation: `"x+1"`, `"2x"`, or `"x^2"`.
-    pub manipulation: Option<FcpManipulation>,
-}
-
-impl FcpSpec {
-    const FIELDS: [&'static str; 3] = ["region_bytes", "xor_bits", "manipulation"];
-
-    fn parse(v: &JsonValue, path: &str) -> Result<FcpSpec, ScenarioError> {
-        let mut spec = FcpSpec::default();
-        for (key, value) in obj(v, path)? {
-            let p = join(path, key);
-            match key.as_str() {
-                "region_bytes" => spec.region_bytes = Some(u64_of(value, &p)?),
-                "xor_bits" => spec.xor_bits = Some(u32_of(value, &p)?),
-                "manipulation" => spec.manipulation = Some(keyword(value, &p, &MANIPULATIONS)?),
-                _ => return Err(unknown_field(path, key, &Self::FIELDS)),
-            }
+/// Declares a spec type from its ordered field list: the struct of
+/// `Option`s (plus an optional preset name), its known-field list, its
+/// parser, renderer and merge, and its [`Value`] implementation, which
+/// resolves onto and diffs against the config type `$cfg`. The list order
+/// is the render order. `diff` destructures `$cfg` exhaustively, so a
+/// config field missing from the list is a compile error.
+macro_rules! partial {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident: $cfg:ident $([$(#[$pdoc:meta])* $preset:ident])? {
+            $($(#[$doc:meta])* $f:ident: $t:ty,)*
         }
-        Ok(spec)
-    }
-
-    fn to_value(&self) -> JsonValue {
-        let mut fields = Vec::new();
-        if let Some(n) = self.region_bytes {
-            fields.push(("region_bytes".into(), num(n)));
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$pdoc])* pub $preset: Option<String>,)?
+            $($(#[$doc])* pub $f: Option<$t>,)*
         }
-        if let Some(n) = self.xor_bits {
-            fields.push(("xor_bits".into(), num(u64::from(n))));
-        }
-        if let Some(m) = self.manipulation {
-            fields.push((
-                "manipulation".into(),
-                JsonValue::Str(keyword_name(m, &MANIPULATIONS).into()),
-            ));
-        }
-        JsonValue::Obj(fields)
-    }
 
-    fn merged(&self, over: &FcpSpec) -> FcpSpec {
-        FcpSpec {
-            region_bytes: over.region_bytes.or(self.region_bytes),
-            xor_bits: over.xor_bits.or(self.xor_bits),
-            manipulation: over.manipulation.or(self.manipulation),
-        }
-    }
+        impl $name {
+            const FIELDS: &'static [&'static str] =
+                &[$(stringify!($preset),)? $(stringify!($f)),*];
 
-    fn resolve(&self, base: FcpConfig) -> FcpConfig {
-        FcpConfig {
-            region_bytes: self.region_bytes.unwrap_or(base.region_bytes),
-            xor_bits: self.xor_bits.unwrap_or(base.xor_bits),
-            manipulation: self.manipulation.unwrap_or(base.manipulation),
-        }
-    }
-}
-
-// -------------------------------------------------------------- FaultSpec
-
-/// Partial override of the fault-injection plan (base: a quiet plan).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FaultSpec {
-    /// Fault RNG seed.
-    pub seed: Option<u64>,
-    /// Per-invocation relative-error probability.
-    pub accel_error_rate: Option<f64>,
-    /// Maximum relative-error magnitude.
-    pub accel_error_magnitude: Option<f64>,
-    /// Per-invocation bit-flip probability.
-    pub accel_bitflip_rate: Option<f64>,
-    /// Per-invocation outright-failure probability.
-    pub accel_fail_rate: Option<f64>,
-    /// Per-access memory latency-spike probability.
-    pub mem_spike_rate: Option<f64>,
-    /// Extra cycles per latency spike.
-    pub mem_spike_cycles: Option<u64>,
-}
-
-impl FaultSpec {
-    const FIELDS: [&'static str; 7] = [
-        "seed",
-        "accel_error_rate",
-        "accel_error_magnitude",
-        "accel_bitflip_rate",
-        "accel_fail_rate",
-        "mem_spike_rate",
-        "mem_spike_cycles",
-    ];
-
-    fn parse(v: &JsonValue, path: &str) -> Result<FaultSpec, ScenarioError> {
-        let mut spec = FaultSpec::default();
-        for (key, value) in obj(v, path)? {
-            let p = join(path, key);
-            match key.as_str() {
-                "seed" => spec.seed = Some(u64_of(value, &p)?),
-                "accel_error_rate" => spec.accel_error_rate = Some(f64_of(value, &p)?),
-                "accel_error_magnitude" => {
-                    spec.accel_error_magnitude = Some(f64_of(value, &p)?);
+            /// Parses the spec from a JSON object; errors carry the field
+            /// path under `path`.
+            pub fn parse(v: &JsonValue, path: &str) -> Result<$name, ScenarioError> {
+                let mut spec = $name::default();
+                for (key, value) in obj(v, path)? {
+                    let p = join(path, key);
+                    match key.as_str() {
+                        $(stringify!($preset) => {
+                            spec.$preset = Some(str_of(value, &p)?.to_string());
+                        })?
+                        $(stringify!($f) => spec.$f = Some(<$t as Value>::parse(value, &p)?),)*
+                        _ => return Err(unknown_field(path, key, Self::FIELDS)),
+                    }
                 }
-                "accel_bitflip_rate" => spec.accel_bitflip_rate = Some(f64_of(value, &p)?),
-                "accel_fail_rate" => spec.accel_fail_rate = Some(f64_of(value, &p)?),
-                "mem_spike_rate" => spec.mem_spike_rate = Some(f64_of(value, &p)?),
-                "mem_spike_cycles" => spec.mem_spike_cycles = Some(u64_of(value, &p)?),
-                _ => return Err(unknown_field(path, key, &Self::FIELDS)),
+                Ok(spec)
+            }
+
+            /// Renders the spec (omitted fields stay omitted; explicit
+            /// disables render as `null`).
+            pub fn to_value(&self) -> JsonValue {
+                let mut fields: Vec<(String, JsonValue)> = Vec::new();
+                $(if let Some(name) = &self.$preset {
+                    fields.push((stringify!($preset).into(), JsonValue::Str(name.clone())));
+                })?
+                $(if let Some(x) = &self.$f {
+                    fields.push((stringify!($f).into(), x.render()));
+                })*
+                JsonValue::Obj(fields)
+            }
+
+            /// Field-wise merge; `over`'s fields win. Nested partials
+            /// (`l1`–`l3`, `fcp`, `fault_plan`) merge field-wise too,
+            /// except that `over`'s explicit `null` on `fcp`/`fault_plan`
+            /// discards the base entirely.
+            pub fn merged(&self, over: &$name) -> $name {
+                $name {
+                    $($preset: over.$preset.clone().or_else(|| self.$preset.clone()),)?
+                    $($f: merge_field(&self.$f, &over.$f),)*
+                }
             }
         }
-        Ok(spec)
-    }
 
-    fn to_value(&self) -> JsonValue {
-        let mut fields = Vec::new();
-        if let Some(n) = self.seed {
-            fields.push(("seed".into(), num(n)));
-        }
-        for (name, value) in [
-            ("accel_error_rate", self.accel_error_rate),
-            ("accel_error_magnitude", self.accel_error_magnitude),
-            ("accel_bitflip_rate", self.accel_bitflip_rate),
-            ("accel_fail_rate", self.accel_fail_rate),
-            ("mem_spike_rate", self.mem_spike_rate),
-        ] {
-            if let Some(x) = value {
-                fields.push((name.into(), fnum(x)));
+        impl Value for $name {
+            type Cfg = $cfg;
+            fn parse(v: &JsonValue, path: &str) -> Result<$name, ScenarioError> {
+                $name::parse(v, path)
+            }
+            fn render(&self) -> JsonValue {
+                self.to_value()
+            }
+            fn merge(base: &$name, over: &$name) -> $name {
+                base.merged(over)
+            }
+            fn apply(&self, cfg: &mut $cfg) {
+                $(if let Some(x) = &self.$f {
+                    x.apply(&mut cfg.$f);
+                })*
+            }
+            fn diff(base: Option<&$cfg>, cfg: &$cfg) -> $name {
+                let $cfg { $($f),* } = cfg; // Every config field must be listed.
+                $name {
+                    $($preset: None,)?
+                    $($f: diff_field(base.map(|b| &b.$f), $f),)*
+                }
             }
         }
-        if let Some(n) = self.mem_spike_cycles {
-            fields.push(("mem_spike_cycles".into(), num(n)));
-        }
-        JsonValue::Obj(fields)
-    }
+    };
+}
 
-    fn merged(&self, over: &FaultSpec) -> FaultSpec {
-        FaultSpec {
-            seed: over.seed.or(self.seed),
-            accel_error_rate: over.accel_error_rate.or(self.accel_error_rate),
-            accel_error_magnitude: over.accel_error_magnitude.or(self.accel_error_magnitude),
-            accel_bitflip_rate: over.accel_bitflip_rate.or(self.accel_bitflip_rate),
-            accel_fail_rate: over.accel_fail_rate.or(self.accel_fail_rate),
-            mem_spike_rate: over.mem_spike_rate.or(self.mem_spike_rate),
-            mem_spike_cycles: over.mem_spike_cycles.or(self.mem_spike_cycles),
-        }
-    }
-
-    fn resolve(&self, base: FaultPlan) -> FaultPlan {
-        FaultPlan {
-            seed: self.seed.unwrap_or(base.seed),
-            accel_error_rate: self.accel_error_rate.unwrap_or(base.accel_error_rate),
-            accel_error_magnitude: self
-                .accel_error_magnitude
-                .unwrap_or(base.accel_error_magnitude),
-            accel_bitflip_rate: self.accel_bitflip_rate.unwrap_or(base.accel_bitflip_rate),
-            accel_fail_rate: self.accel_fail_rate.unwrap_or(base.accel_fail_rate),
-            mem_spike_rate: self.mem_spike_rate.unwrap_or(base.mem_spike_rate),
-            mem_spike_cycles: self.mem_spike_cycles.unwrap_or(base.mem_spike_cycles),
-        }
+partial! {
+    /// Partial override of one cache level.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct CacheSpec: CacheConfig {
+        /// Total capacity in bytes.
+        size_bytes: u64,
+        /// Associativity.
+        ways: u32,
+        /// Access latency in cycles.
+        latency: u64,
     }
 }
 
-// ------------------------------------------------------------ MachineSpec
+partial! {
+    /// Partial override of the FCP parameters (base:
+    /// [`FcpConfig::paper_default`] or whatever the preset already enables).
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct FcpSpec: FcpConfig {
+        /// Region size in bytes.
+        region_bytes: u64,
+        /// XOR width.
+        xor_bits: u32,
+        /// Recency manipulation: `"x+1"`, `"2x"`, or `"x^2"`.
+        manipulation: FcpManipulation,
+    }
+}
 
-/// Partial machine description: a preset name plus any number of field
-/// overrides.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MachineSpec {
-    /// Starting preset: `legacy_baseline`, `upgraded_baseline` (default),
-    /// or `tartan`. When specs are merged, the *last* preset mentioned
-    /// wins and all merged field overrides apply on top of it.
-    pub preset: Option<String>,
-    /// Core count.
-    pub cores: Option<usize>,
-    /// Cache line size in bytes.
-    pub line_bytes: Option<u64>,
-    /// L1-D overrides.
-    pub l1: Option<CacheSpec>,
-    /// Private-L2 overrides.
-    pub l2: Option<CacheSpec>,
-    /// Shared-L3 overrides.
-    pub l3: Option<CacheSpec>,
-    /// DRAM latency in cycles.
-    pub dram_latency: Option<u64>,
-    /// DRAM bandwidth in bytes per core cycle.
-    pub dram_bytes_per_cycle: Option<u64>,
-    /// Issue width.
-    pub issue_width: Option<u64>,
-    /// Memory-level parallelism.
-    pub mlp: Option<u64>,
-    /// L1 ports.
-    pub l1_ports: Option<u64>,
-    /// `"avx2"` or `"avx512"`.
-    pub vector_isa: Option<VectorIsa>,
-    /// OVEC extension present.
-    pub ovec: Option<bool>,
-    /// OVEC address-generation latency in cycles.
-    pub ovec_addr_gen_latency: Option<u64>,
-    /// `"none"`, `"nextline"`, `"anl"`, or `"bingo"`.
-    pub prefetcher: Option<PrefetcherKind>,
-    /// ANL region size in bytes.
-    pub anl_region_bytes: Option<u64>,
-    /// FCP: omitted = inherit, JSON `null` = disable, object = enable with
-    /// overrides over the inherited/paper parameters.
-    pub fcp: Option<Option<FcpSpec>>,
-    /// NPU attachment: `{"mode": "none"}`, `{"mode": "integrated",
-    /// "pes": N}`, or `{"mode": "coprocessor"}`.
-    pub npu: Option<NpuMode>,
-    /// NPU MAC latency.
-    pub npu_mac_latency: Option<u64>,
-    /// Integrated-NPU communication latency.
-    pub npu_comm_latency: Option<u64>,
-    /// Co-processor communication latency.
-    pub npu_coproc_comm_latency: Option<u64>,
-    /// Write-through producer/consumer regions.
-    pub write_through_regions: Option<bool>,
-    /// Intel ray-casting accelerator model.
-    pub intel_lvs: Option<bool>,
-    /// Fault plan: omitted = inherit, JSON `null` = disable, object =
-    /// enable with overrides over a quiet plan.
-    pub fault_plan: Option<Option<FaultSpec>>,
+impl Toggle for FcpSpec {
+    fn base() -> FcpConfig {
+        FcpConfig::paper_default()
+    }
+}
+
+partial! {
+    /// Partial override of the fault-injection plan (base: a quiet plan).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct FaultSpec: FaultPlan {
+        /// Fault RNG seed.
+        seed: u64,
+        /// Per-invocation relative-error probability.
+        accel_error_rate: f64,
+        /// Maximum relative-error magnitude.
+        accel_error_magnitude: f64,
+        /// Per-invocation bit-flip probability.
+        accel_bitflip_rate: f64,
+        /// Per-invocation outright-failure probability.
+        accel_fail_rate: f64,
+        /// Per-access memory latency-spike probability.
+        mem_spike_rate: f64,
+        /// Extra cycles per latency spike.
+        mem_spike_cycles: u64,
+    }
+}
+
+impl Toggle for FaultSpec {
+    fn base() -> FaultPlan {
+        FaultPlan::quiet(0)
+    }
+}
+
+partial! {
+    /// Partial machine description: a preset name plus any number of field
+    /// overrides.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct MachineSpec: MachineConfig [
+        /// Starting preset: `legacy_baseline`, `upgraded_baseline` (default),
+        /// or `tartan`. When specs are merged, the *last* preset mentioned
+        /// wins and all merged field overrides apply on top of it.
+        preset
+    ] {
+        /// Core count.
+        cores: usize,
+        /// Cache line size in bytes.
+        line_bytes: u64,
+        /// DRAM latency in cycles.
+        dram_latency: u64,
+        /// DRAM bandwidth in bytes per core cycle.
+        dram_bytes_per_cycle: u64,
+        /// Issue width.
+        issue_width: u64,
+        /// Memory-level parallelism.
+        mlp: u64,
+        /// L1 ports.
+        l1_ports: u64,
+        /// OVEC address-generation latency in cycles.
+        ovec_addr_gen_latency: u64,
+        /// ANL region size in bytes.
+        anl_region_bytes: u64,
+        /// NPU MAC latency.
+        npu_mac_latency: u64,
+        /// Integrated-NPU communication latency.
+        npu_comm_latency: u64,
+        /// Co-processor communication latency.
+        npu_coproc_comm_latency: u64,
+        /// L1-D overrides.
+        l1: CacheSpec,
+        /// Private-L2 overrides.
+        l2: CacheSpec,
+        /// Shared-L3 overrides.
+        l3: CacheSpec,
+        /// `"avx2"` or `"avx512"`.
+        vector_isa: VectorIsa,
+        /// OVEC extension present.
+        ovec: bool,
+        /// `"none"`, `"nextline"`, `"anl"`, or `"bingo"`.
+        prefetcher: PrefetcherKind,
+        /// FCP: omitted = inherit, JSON `null` = disable, object = enable with
+        /// overrides over the inherited/paper parameters.
+        fcp: Option<FcpSpec>,
+        /// NPU attachment: `{"mode": "none"}`, `{"mode": "integrated",
+        /// "pes": N}`, or `{"mode": "coprocessor"}`.
+        npu: NpuMode,
+        /// Write-through producer/consumer regions.
+        write_through_regions: bool,
+        /// Intel ray-casting accelerator model.
+        intel_lvs: bool,
+        /// Fault plan: omitted = inherit, JSON `null` = disable, object =
+        /// enable with overrides over a quiet plan.
+        fault_plan: Option<FaultSpec>,
+    }
+}
+
+partial! {
+    /// Partial software description: a preset name plus field overrides.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct SoftwareSpec: SoftwareConfig [
+        /// Starting preset: `legacy` (default), `optimized`, or `approximable`.
+        preset
+    ] {
+        /// `"scalar"`, `"gather"`, `"ovec"`, or `"racod"`.
+        vec_method: VecMethod,
+        /// `"brute"`, `"kdtree"`, `"flann"`, or `"vln"`.
+        nns: NnsKind,
+        /// `"none"`, `"npu"`, or `"software"`.
+        neural: NeuralExec,
+        /// Bilinear ray-casting refinement.
+        interpolate_raycast: bool,
+    }
+}
+
+/// Where a resolution starts: the named preset, or `default()` when the
+/// spec names none.
+fn preset<C>(
+    name: &Option<String>,
+    path: &str,
+    default: fn() -> C,
+    lookup: fn(&str) -> Option<C>,
+    names: &[&str],
+) -> Result<C, ScenarioError> {
+    let Some(name) = name else {
+        return Ok(default());
+    };
+    lookup(name).ok_or_else(|| {
+        ScenarioError::new(
+            join(path, "preset"),
+            format!(
+                "unknown preset {name:?} (expected one of {})",
+                names.join(", ")
+            ),
+        )
+    })
 }
 
 impl MachineSpec {
-    const FIELDS: [&'static str; 24] = [
-        "preset",
-        "cores",
-        "line_bytes",
-        "l1",
-        "l2",
-        "l3",
-        "dram_latency",
-        "dram_bytes_per_cycle",
-        "issue_width",
-        "mlp",
-        "l1_ports",
-        "vector_isa",
-        "ovec",
-        "ovec_addr_gen_latency",
-        "prefetcher",
-        "anl_region_bytes",
-        "fcp",
-        "npu",
-        "npu_mac_latency",
-        "npu_comm_latency",
-        "npu_coproc_comm_latency",
-        "write_through_regions",
-        "intel_lvs",
-        "fault_plan",
-    ];
-
-    /// Parses a machine spec from a JSON object.
-    pub fn parse(v: &JsonValue, path: &str) -> Result<MachineSpec, ScenarioError> {
-        let mut spec = MachineSpec::default();
-        for (key, value) in obj(v, path)? {
-            let p = join(path, key);
-            match key.as_str() {
-                "preset" => spec.preset = Some(str_of(value, &p)?.to_string()),
-                "cores" => spec.cores = Some(usize_of(value, &p)?),
-                "line_bytes" => spec.line_bytes = Some(u64_of(value, &p)?),
-                "l1" => spec.l1 = Some(CacheSpec::parse(value, &p)?),
-                "l2" => spec.l2 = Some(CacheSpec::parse(value, &p)?),
-                "l3" => spec.l3 = Some(CacheSpec::parse(value, &p)?),
-                "dram_latency" => spec.dram_latency = Some(u64_of(value, &p)?),
-                "dram_bytes_per_cycle" => {
-                    spec.dram_bytes_per_cycle = Some(u64_of(value, &p)?);
-                }
-                "issue_width" => spec.issue_width = Some(u64_of(value, &p)?),
-                "mlp" => spec.mlp = Some(u64_of(value, &p)?),
-                "l1_ports" => spec.l1_ports = Some(u64_of(value, &p)?),
-                "vector_isa" => spec.vector_isa = Some(keyword(value, &p, &VECTOR_ISAS)?),
-                "ovec" => spec.ovec = Some(bool_of(value, &p)?),
-                "ovec_addr_gen_latency" => {
-                    spec.ovec_addr_gen_latency = Some(u64_of(value, &p)?);
-                }
-                "prefetcher" => spec.prefetcher = Some(keyword(value, &p, &PREFETCHERS)?),
-                "anl_region_bytes" => spec.anl_region_bytes = Some(u64_of(value, &p)?),
-                "fcp" => {
-                    spec.fcp = Some(match value {
-                        JsonValue::Null => None,
-                        other => Some(FcpSpec::parse(other, &p)?),
-                    });
-                }
-                "npu" => spec.npu = Some(parse_npu(value, &p)?),
-                "npu_mac_latency" => spec.npu_mac_latency = Some(u64_of(value, &p)?),
-                "npu_comm_latency" => spec.npu_comm_latency = Some(u64_of(value, &p)?),
-                "npu_coproc_comm_latency" => {
-                    spec.npu_coproc_comm_latency = Some(u64_of(value, &p)?);
-                }
-                "write_through_regions" => {
-                    spec.write_through_regions = Some(bool_of(value, &p)?);
-                }
-                "intel_lvs" => spec.intel_lvs = Some(bool_of(value, &p)?),
-                "fault_plan" => {
-                    spec.fault_plan = Some(match value {
-                        JsonValue::Null => None,
-                        other => Some(FaultSpec::parse(other, &p)?),
-                    });
-                }
-                _ => return Err(unknown_field(path, key, &Self::FIELDS)),
-            }
-        }
-        Ok(spec)
-    }
-
-    /// Renders the spec (omitted fields stay omitted; explicit disables
-    /// render as `null`).
-    pub fn to_value(&self) -> JsonValue {
-        let mut fields: Vec<(String, JsonValue)> = Vec::new();
-        if let Some(p) = &self.preset {
-            fields.push(("preset".into(), JsonValue::Str(p.clone())));
-        }
-        if let Some(n) = self.cores {
-            fields.push(("cores".into(), num(n as u64)));
-        }
-        for (name, value) in [
-            ("line_bytes", self.line_bytes),
-            ("dram_latency", self.dram_latency),
-            ("dram_bytes_per_cycle", self.dram_bytes_per_cycle),
-            ("issue_width", self.issue_width),
-            ("mlp", self.mlp),
-            ("l1_ports", self.l1_ports),
-            ("ovec_addr_gen_latency", self.ovec_addr_gen_latency),
-            ("anl_region_bytes", self.anl_region_bytes),
-            ("npu_mac_latency", self.npu_mac_latency),
-            ("npu_comm_latency", self.npu_comm_latency),
-            ("npu_coproc_comm_latency", self.npu_coproc_comm_latency),
-        ] {
-            if let Some(n) = value {
-                fields.push((name.into(), num(n)));
-            }
-        }
-        for (name, level) in [("l1", &self.l1), ("l2", &self.l2), ("l3", &self.l3)] {
-            if let Some(spec) = level {
-                fields.push((name.into(), spec.to_value()));
-            }
-        }
-        if let Some(isa) = self.vector_isa {
-            fields.push((
-                "vector_isa".into(),
-                JsonValue::Str(keyword_name(isa, &VECTOR_ISAS).into()),
-            ));
-        }
-        if let Some(b) = self.ovec {
-            fields.push(("ovec".into(), JsonValue::Bool(b)));
-        }
-        if let Some(pf) = self.prefetcher {
-            fields.push((
-                "prefetcher".into(),
-                JsonValue::Str(keyword_name(pf, &PREFETCHERS).into()),
-            ));
-        }
-        if let Some(fcp) = &self.fcp {
-            fields.push((
-                "fcp".into(),
-                match fcp {
-                    None => JsonValue::Null,
-                    Some(spec) => spec.to_value(),
-                },
-            ));
-        }
-        if let Some(npu) = self.npu {
-            fields.push(("npu".into(), npu_to_value(npu)));
-        }
-        if let Some(b) = self.write_through_regions {
-            fields.push(("write_through_regions".into(), JsonValue::Bool(b)));
-        }
-        if let Some(b) = self.intel_lvs {
-            fields.push(("intel_lvs".into(), JsonValue::Bool(b)));
-        }
-        if let Some(plan) = &self.fault_plan {
-            fields.push((
-                "fault_plan".into(),
-                match plan {
-                    None => JsonValue::Null,
-                    Some(spec) => spec.to_value(),
-                },
-            ));
-        }
-        JsonValue::Obj(fields)
-    }
-
-    /// Field-wise merge; `over`'s fields win. Nested partials (`l1`–`l3`,
-    /// `fcp`, `fault_plan`) merge field-wise too, except that `over`'s
-    /// explicit `null` on `fcp`/`fault_plan` discards the base entirely.
-    pub fn merged(&self, over: &MachineSpec) -> MachineSpec {
-        let merge_level = |base: &Option<CacheSpec>, over: &Option<CacheSpec>| match (base, over) {
-            (Some(b), Some(o)) => Some(b.merged(o)),
-            (b, o) => o.clone().or_else(|| b.clone()),
-        };
-        MachineSpec {
-            preset: merge_opt(&self.preset, &over.preset),
-            cores: over.cores.or(self.cores),
-            line_bytes: over.line_bytes.or(self.line_bytes),
-            l1: merge_level(&self.l1, &over.l1),
-            l2: merge_level(&self.l2, &over.l2),
-            l3: merge_level(&self.l3, &over.l3),
-            dram_latency: over.dram_latency.or(self.dram_latency),
-            dram_bytes_per_cycle: over.dram_bytes_per_cycle.or(self.dram_bytes_per_cycle),
-            issue_width: over.issue_width.or(self.issue_width),
-            mlp: over.mlp.or(self.mlp),
-            l1_ports: over.l1_ports.or(self.l1_ports),
-            vector_isa: over.vector_isa.or(self.vector_isa),
-            ovec: over.ovec.or(self.ovec),
-            ovec_addr_gen_latency: over.ovec_addr_gen_latency.or(self.ovec_addr_gen_latency),
-            prefetcher: over.prefetcher.or(self.prefetcher),
-            anl_region_bytes: over.anl_region_bytes.or(self.anl_region_bytes),
-            fcp: match (&self.fcp, &over.fcp) {
-                (Some(Some(b)), Some(Some(o))) => Some(Some(b.merged(o))),
-                (b, o) => o.clone().or_else(|| b.clone()),
-            },
-            npu: over.npu.or(self.npu),
-            npu_mac_latency: over.npu_mac_latency.or(self.npu_mac_latency),
-            npu_comm_latency: over.npu_comm_latency.or(self.npu_comm_latency),
-            npu_coproc_comm_latency: over
-                .npu_coproc_comm_latency
-                .or(self.npu_coproc_comm_latency),
-            write_through_regions: over.write_through_regions.or(self.write_through_regions),
-            intel_lvs: over.intel_lvs.or(self.intel_lvs),
-            fault_plan: match (&self.fault_plan, &over.fault_plan) {
-                (Some(Some(b)), Some(Some(o))) => Some(Some(b.merged(o))),
-                (b, o) => o.clone().or_else(|| b.clone()),
-            },
-        }
-    }
-
     /// Resolves into a validated [`MachineConfig`]: preset first, then
     /// overrides, then [`MachineConfig::validate`]. `path` prefixes error
     /// paths (e.g. `groups[0].machine`).
     pub fn resolve(&self, path: &str) -> Result<MachineConfig, ScenarioError> {
-        let mut cfg = match &self.preset {
-            None => MachineConfig::upgraded_baseline(),
-            Some(name) => MachineConfig::from_preset(name).ok_or_else(|| {
-                ScenarioError::new(
-                    join(path, "preset"),
-                    format!(
-                        "unknown preset {name:?} (expected one of {})",
-                        MachineConfig::PRESETS.join(", ")
-                    ),
-                )
-            })?,
-        };
-        if let Some(n) = self.cores {
-            cfg.cores = n;
-        }
-        if let Some(n) = self.line_bytes {
-            cfg.line_bytes = n;
-        }
-        if let Some(spec) = &self.l1 {
-            spec.apply(&mut cfg.l1);
-        }
-        if let Some(spec) = &self.l2 {
-            spec.apply(&mut cfg.l2);
-        }
-        if let Some(spec) = &self.l3 {
-            spec.apply(&mut cfg.l3);
-        }
-        if let Some(n) = self.dram_latency {
-            cfg.dram_latency = n;
-        }
-        if let Some(n) = self.dram_bytes_per_cycle {
-            cfg.dram_bytes_per_cycle = n;
-        }
-        if let Some(n) = self.issue_width {
-            cfg.issue_width = n;
-        }
-        if let Some(n) = self.mlp {
-            cfg.mlp = n;
-        }
-        if let Some(n) = self.l1_ports {
-            cfg.l1_ports = n;
-        }
-        if let Some(isa) = self.vector_isa {
-            cfg.vector_isa = isa;
-        }
-        if let Some(b) = self.ovec {
-            cfg.ovec = b;
-        }
-        if let Some(n) = self.ovec_addr_gen_latency {
-            cfg.ovec_addr_gen_latency = n;
-        }
-        if let Some(pf) = self.prefetcher {
-            cfg.prefetcher = pf;
-        }
-        if let Some(n) = self.anl_region_bytes {
-            cfg.anl_region_bytes = n;
-        }
-        match &self.fcp {
-            None => {}
-            Some(None) => cfg.fcp = None,
-            Some(Some(spec)) => {
-                cfg.fcp = Some(spec.resolve(cfg.fcp.unwrap_or_else(FcpConfig::paper_default)));
-            }
-        }
-        if let Some(npu) = self.npu {
-            cfg.npu = npu;
-        }
-        if let Some(n) = self.npu_mac_latency {
-            cfg.npu_mac_latency = n;
-        }
-        if let Some(n) = self.npu_comm_latency {
-            cfg.npu_comm_latency = n;
-        }
-        if let Some(n) = self.npu_coproc_comm_latency {
-            cfg.npu_coproc_comm_latency = n;
-        }
-        if let Some(b) = self.write_through_regions {
-            cfg.write_through_regions = b;
-        }
-        if let Some(b) = self.intel_lvs {
-            cfg.intel_lvs = b;
-        }
-        match &self.fault_plan {
-            None => {}
-            Some(None) => cfg.fault_plan = None,
-            Some(Some(spec)) => {
-                cfg.fault_plan =
-                    Some(spec.resolve(cfg.fault_plan.unwrap_or_else(|| FaultPlan::quiet(0))));
-            }
-        }
+        let mut cfg = preset(
+            &self.preset,
+            path,
+            MachineConfig::upgraded_baseline,
+            MachineConfig::from_preset,
+            &MachineConfig::PRESETS,
+        )?;
+        self.apply(&mut cfg);
         cfg.validate()
             .map_err(|e| ScenarioError::new(join(path, &e.path), e.reason))?;
         Ok(cfg)
@@ -784,90 +477,12 @@ impl MachineSpec {
     /// name when the config is a preset, otherwise `upgraded_baseline`
     /// plus every differing field spelled out.
     pub fn from_config(cfg: &MachineConfig) -> MachineSpec {
-        if let Some(name) = cfg.preset_name() {
-            return MachineSpec {
+        match cfg.preset_name() {
+            Some(name) => MachineSpec {
                 preset: Some(name.to_string()),
                 ..MachineSpec::default()
-            };
-        }
-        let base = MachineConfig::upgraded_baseline();
-        let level = |b: &tartan_sim::CacheConfig, c: &tartan_sim::CacheConfig| {
-            if b == c {
-                None
-            } else {
-                Some(CacheSpec {
-                    size_bytes: opt(b.size_bytes != c.size_bytes, c.size_bytes),
-                    ways: opt(b.ways != c.ways, c.ways),
-                    latency: opt(b.latency != c.latency, c.latency),
-                })
-            }
-        };
-        MachineSpec {
-            preset: None,
-            cores: opt(base.cores != cfg.cores, cfg.cores),
-            line_bytes: opt(base.line_bytes != cfg.line_bytes, cfg.line_bytes),
-            l1: level(&base.l1, &cfg.l1),
-            l2: level(&base.l2, &cfg.l2),
-            l3: level(&base.l3, &cfg.l3),
-            dram_latency: opt(base.dram_latency != cfg.dram_latency, cfg.dram_latency),
-            dram_bytes_per_cycle: opt(
-                base.dram_bytes_per_cycle != cfg.dram_bytes_per_cycle,
-                cfg.dram_bytes_per_cycle,
-            ),
-            issue_width: opt(base.issue_width != cfg.issue_width, cfg.issue_width),
-            mlp: opt(base.mlp != cfg.mlp, cfg.mlp),
-            l1_ports: opt(base.l1_ports != cfg.l1_ports, cfg.l1_ports),
-            vector_isa: opt(base.vector_isa != cfg.vector_isa, cfg.vector_isa),
-            ovec: opt(base.ovec != cfg.ovec, cfg.ovec),
-            ovec_addr_gen_latency: opt(
-                base.ovec_addr_gen_latency != cfg.ovec_addr_gen_latency,
-                cfg.ovec_addr_gen_latency,
-            ),
-            prefetcher: opt(base.prefetcher != cfg.prefetcher, cfg.prefetcher),
-            anl_region_bytes: opt(
-                base.anl_region_bytes != cfg.anl_region_bytes,
-                cfg.anl_region_bytes,
-            ),
-            fcp: if base.fcp == cfg.fcp {
-                None
-            } else {
-                Some(cfg.fcp.map(|f| FcpSpec {
-                    region_bytes: Some(f.region_bytes),
-                    xor_bits: Some(f.xor_bits),
-                    manipulation: Some(f.manipulation),
-                }))
             },
-            npu: opt(base.npu != cfg.npu, cfg.npu),
-            npu_mac_latency: opt(
-                base.npu_mac_latency != cfg.npu_mac_latency,
-                cfg.npu_mac_latency,
-            ),
-            npu_comm_latency: opt(
-                base.npu_comm_latency != cfg.npu_comm_latency,
-                cfg.npu_comm_latency,
-            ),
-            npu_coproc_comm_latency: opt(
-                base.npu_coproc_comm_latency != cfg.npu_coproc_comm_latency,
-                cfg.npu_coproc_comm_latency,
-            ),
-            write_through_regions: opt(
-                base.write_through_regions != cfg.write_through_regions,
-                cfg.write_through_regions,
-            ),
-            intel_lvs: opt(base.intel_lvs != cfg.intel_lvs, cfg.intel_lvs),
-            fault_plan: if base.fault_plan == cfg.fault_plan {
-                None
-            } else {
-                Some(cfg.fault_plan.map(|p| FaultSpec {
-                    seed: Some(p.seed),
-                    accel_error_rate: Some(p.accel_error_rate),
-                    accel_error_magnitude: Some(p.accel_error_magnitude),
-                    accel_bitflip_rate: Some(p.accel_bitflip_rate),
-                    accel_fail_rate: Some(p.accel_fail_rate),
-                    mem_spike_rate: Some(p.mem_spike_rate),
-                    mem_spike_cycles: Some(p.mem_spike_cycles),
-                }))
-            },
+            None => MachineSpec::diff(Some(&MachineConfig::upgraded_baseline()), cfg),
         }
     }
 }
@@ -879,12 +494,12 @@ fn parse_npu(v: &JsonValue, path: &str) -> Result<NpuMode, ScenarioError> {
         let p = join(path, key);
         match key.as_str() {
             "mode" => mode = Some(str_of(value, &p)?),
-            "pes" => pes = Some(u32_of(value, &p)?),
+            "pes" => pes = Some(narrow(value, &p, "32 bits")?),
             _ => return Err(unknown_field(path, key, &["mode", "pes"])),
         }
     }
-    let mode = mode
-        .ok_or_else(|| ScenarioError::new(join(path, "mode"), "required field is missing"))?;
+    let mode =
+        mode.ok_or_else(|| ScenarioError::new(join(path, "mode"), "required field is missing"))?;
     match (mode, pes) {
         ("none", None) => Ok(NpuMode::None),
         ("coprocessor", None) => Ok(NpuMode::Coprocessor),
@@ -905,157 +520,137 @@ fn parse_npu(v: &JsonValue, path: &str) -> Result<NpuMode, ScenarioError> {
 }
 
 fn npu_to_value(npu: NpuMode) -> JsonValue {
-    let mut fields = vec![(
-        "mode".to_string(),
-        JsonValue::Str(
-            match npu {
-                NpuMode::None => "none",
-                NpuMode::Integrated { .. } => "integrated",
-                NpuMode::Coprocessor => "coprocessor",
-            }
-            .into(),
-        ),
-    )];
+    let mode = match npu {
+        NpuMode::None => "none",
+        NpuMode::Integrated { .. } => "integrated",
+        NpuMode::Coprocessor => "coprocessor",
+    };
+    let mut fields = vec![("mode".to_string(), JsonValue::Str(mode.into()))];
     if let NpuMode::Integrated { pes } = npu {
         fields.push(("pes".into(), num(u64::from(pes))));
     }
     JsonValue::Obj(fields)
 }
 
-// ----------------------------------------------------------- SoftwareSpec
-
-/// Partial software description: a preset name plus field overrides.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SoftwareSpec {
-    /// Starting preset: `legacy` (default), `optimized`, or `approximable`.
-    pub preset: Option<String>,
-    /// `"scalar"`, `"gather"`, `"ovec"`, or `"racod"`.
-    pub vec_method: Option<VecMethod>,
-    /// `"brute"`, `"kdtree"`, `"flann"`, or `"vln"`.
-    pub nns: Option<NnsKind>,
-    /// `"none"`, `"npu"`, or `"software"`.
-    pub neural: Option<NeuralExec>,
-    /// Bilinear ray-casting refinement.
-    pub interpolate_raycast: Option<bool>,
-}
-
 impl SoftwareSpec {
-    const FIELDS: [&'static str; 5] = [
-        "preset",
-        "vec_method",
-        "nns",
-        "neural",
-        "interpolate_raycast",
-    ];
-
-    /// Parses a software spec from a JSON object.
-    pub fn parse(v: &JsonValue, path: &str) -> Result<SoftwareSpec, ScenarioError> {
-        let mut spec = SoftwareSpec::default();
-        for (key, value) in obj(v, path)? {
-            let p = join(path, key);
-            match key.as_str() {
-                "preset" => spec.preset = Some(str_of(value, &p)?.to_string()),
-                "vec_method" => spec.vec_method = Some(keyword(value, &p, &VEC_METHODS)?),
-                "nns" => spec.nns = Some(keyword(value, &p, &NNS_KINDS)?),
-                "neural" => spec.neural = Some(keyword(value, &p, &NEURAL_EXECS)?),
-                "interpolate_raycast" => {
-                    spec.interpolate_raycast = Some(bool_of(value, &p)?);
-                }
-                _ => return Err(unknown_field(path, key, &Self::FIELDS)),
-            }
-        }
-        Ok(spec)
-    }
-
-    /// Renders the spec.
-    pub fn to_value(&self) -> JsonValue {
-        let mut fields: Vec<(String, JsonValue)> = Vec::new();
-        if let Some(p) = &self.preset {
-            fields.push(("preset".into(), JsonValue::Str(p.clone())));
-        }
-        if let Some(m) = self.vec_method {
-            fields.push((
-                "vec_method".into(),
-                JsonValue::Str(keyword_name(m, &VEC_METHODS).into()),
-            ));
-        }
-        if let Some(n) = self.nns {
-            fields.push(("nns".into(), JsonValue::Str(keyword_name(n, &NNS_KINDS).into())));
-        }
-        if let Some(n) = self.neural {
-            fields.push((
-                "neural".into(),
-                JsonValue::Str(keyword_name(n, &NEURAL_EXECS).into()),
-            ));
-        }
-        if let Some(b) = self.interpolate_raycast {
-            fields.push(("interpolate_raycast".into(), JsonValue::Bool(b)));
-        }
-        JsonValue::Obj(fields)
-    }
-
-    /// Field-wise merge; `over`'s fields win.
-    pub fn merged(&self, over: &SoftwareSpec) -> SoftwareSpec {
-        SoftwareSpec {
-            preset: merge_opt(&self.preset, &over.preset),
-            vec_method: over.vec_method.or(self.vec_method),
-            nns: over.nns.or(self.nns),
-            neural: over.neural.or(self.neural),
-            interpolate_raycast: over.interpolate_raycast.or(self.interpolate_raycast),
-        }
-    }
-
     /// Resolves into a [`SoftwareConfig`]: preset first (default
     /// `legacy`), then overrides.
     pub fn resolve(&self, path: &str) -> Result<SoftwareConfig, ScenarioError> {
-        let mut sw = match &self.preset {
-            None => SoftwareConfig::legacy(),
-            Some(name) => SoftwareConfig::from_preset(name).ok_or_else(|| {
-                ScenarioError::new(
-                    join(path, "preset"),
-                    format!(
-                        "unknown preset {name:?} (expected one of {})",
-                        SoftwareConfig::PRESETS.join(", ")
-                    ),
-                )
-            })?,
-        };
-        if let Some(m) = self.vec_method {
-            sw.vec_method = m;
-        }
-        if let Some(n) = self.nns {
-            sw.nns = n;
-        }
-        if let Some(n) = self.neural {
-            sw.neural = n;
-        }
-        if let Some(b) = self.interpolate_raycast {
-            sw.interpolate_raycast = b;
-        }
+        let mut sw = preset(
+            &self.preset,
+            path,
+            SoftwareConfig::legacy,
+            SoftwareConfig::from_preset,
+            &SoftwareConfig::PRESETS,
+        )?;
+        self.apply(&mut sw);
         Ok(sw)
     }
 
     /// Builds the spec that names an exact [`SoftwareConfig`].
     pub fn from_config(sw: &SoftwareConfig) -> SoftwareSpec {
-        if let Some(name) = sw.preset_name() {
-            return SoftwareSpec {
+        match sw.preset_name() {
+            Some(name) => SoftwareSpec {
                 preset: Some(name.to_string()),
                 ..SoftwareSpec::default()
-            };
-        }
-        let base = SoftwareConfig::legacy();
-        SoftwareSpec {
-            preset: None,
-            vec_method: opt(base.vec_method != sw.vec_method, sw.vec_method),
-            nns: opt(base.nns != sw.nns, sw.nns),
-            neural: opt(base.neural != sw.neural, sw.neural),
-            interpolate_raycast: opt(
-                base.interpolate_raycast != sw.interpolate_raycast,
-                sw.interpolate_raycast,
-            ),
+            },
+            None => SoftwareSpec::diff(Some(&SoftwareConfig::legacy()), sw),
         }
     }
 }
+
+// ------------------------------------------------------------------ Scale
+
+/// One [`Scale`] field's shape: how it renders into the cache key, and
+/// the slot an `adjust` entry writes (tuple-valued fields are key-only).
+trait ScaleField {
+    const ADJUSTABLE: bool = false;
+    fn key(&self) -> JsonValue;
+    fn slot(&mut self) -> Option<&mut usize> {
+        None
+    }
+}
+
+impl ScaleField for usize {
+    const ADJUSTABLE: bool = true;
+    fn key(&self) -> JsonValue {
+        num(*self as u64)
+    }
+    fn slot(&mut self) -> Option<&mut usize> {
+        Some(self)
+    }
+}
+
+impl ScaleField for (usize, usize) {
+    fn key(&self) -> JsonValue {
+        JsonValue::Arr(vec![self.0.key(), self.1.key()])
+    }
+}
+
+impl ScaleField for (usize, usize, usize) {
+    fn key(&self) -> JsonValue {
+        JsonValue::Arr(vec![self.0.key(), self.1.key(), self.2.key()])
+    }
+}
+
+/// Declares the [`Scale`] table: every field in declaration order, which
+/// is the cache-key order. The destructure in `scale_value` is exhaustive,
+/// so a `Scale` field missing here fails to compile.
+macro_rules! scale_table {
+    ($($f:ident: $t:ty,)*) => {
+        const SCALE_TABLE: &[(&str, bool)] =
+            &[$((stringify!($f), <$t as ScaleField>::ADJUSTABLE)),*];
+
+        fn scale_slot<'a>(scale: &'a mut Scale, name: &str) -> Option<&'a mut usize> {
+            match name {
+                $(stringify!($f) => <$t as ScaleField>::slot(&mut scale.$f),)*
+                _ => None,
+            }
+        }
+
+        /// Every [`Scale`] field, rendered for the cache key.
+        pub(crate) fn scale_value(scale: &Scale) -> JsonValue {
+            let Scale { $($f),* } = scale;
+            JsonValue::Obj(vec![$((stringify!($f).into(), <$t as ScaleField>::key($f))),*])
+        }
+    };
+}
+
+scale_table! {
+    grid2: usize,
+    grid3: (usize, usize, usize),
+    particles: usize,
+    rays: usize,
+    rrt_nodes: usize,
+    map_points: usize,
+    source_points: usize,
+    image_side: usize,
+    pca_k: usize,
+    patrol_hidden: (usize, usize),
+    train_epochs: usize,
+    heuristic_samples: usize,
+    theta_bins: usize,
+    depth_side: usize,
+    cnn_input: usize,
+    delibot_grid: usize,
+}
+
+/// The adjustable [`Scale`] fields (tuple-valued fields are not exposed).
+pub const SCALE_FIELDS: [&str; 14] = {
+    let (mut out, mut n, mut i) = ([""; 14], 0, 0);
+    while i < SCALE_TABLE.len() {
+        if SCALE_TABLE[i].1 {
+            out[n] = SCALE_TABLE[i].0;
+            n += 1;
+        }
+        i += 1;
+    }
+    assert!(
+        n == out.len(),
+        "one SCALE_FIELDS entry per usize field of Scale"
+    );
+    out
+};
 
 // ------------------------------------------------------------- ParamsSpec
 
@@ -1075,44 +670,6 @@ pub enum AdjustOp {
     Set(u64),
     /// Multiply the value.
     Mul(u64),
-}
-
-/// The adjustable [`Scale`] fields (tuple-valued fields are not exposed).
-pub const SCALE_FIELDS: [&str; 14] = [
-    "grid2",
-    "particles",
-    "rays",
-    "rrt_nodes",
-    "map_points",
-    "source_points",
-    "image_side",
-    "pca_k",
-    "train_epochs",
-    "heuristic_samples",
-    "theta_bins",
-    "depth_side",
-    "cnn_input",
-    "delibot_grid",
-];
-
-fn scale_field_mut<'a>(scale: &'a mut Scale, name: &str) -> Option<&'a mut usize> {
-    match name {
-        "grid2" => Some(&mut scale.grid2),
-        "particles" => Some(&mut scale.particles),
-        "rays" => Some(&mut scale.rays),
-        "rrt_nodes" => Some(&mut scale.rrt_nodes),
-        "map_points" => Some(&mut scale.map_points),
-        "source_points" => Some(&mut scale.source_points),
-        "image_side" => Some(&mut scale.image_side),
-        "pca_k" => Some(&mut scale.pca_k),
-        "train_epochs" => Some(&mut scale.train_epochs),
-        "heuristic_samples" => Some(&mut scale.heuristic_samples),
-        "theta_bins" => Some(&mut scale.theta_bins),
-        "depth_side" => Some(&mut scale.depth_side),
-        "cnn_input" => Some(&mut scale.cnn_input),
-        "delibot_grid" => Some(&mut scale.delibot_grid),
-        _ => None,
-    }
 }
 
 impl ScaleAdjust {
@@ -1151,30 +708,70 @@ impl ScaleAdjust {
                 ),
             ));
         }
-        let op = op.ok_or_else(|| {
-            ScenarioError::new(path, "one of `set` and `mul` is required")
-        })?;
+        let op =
+            op.ok_or_else(|| ScenarioError::new(path, "one of `set` and `mul` is required"))?;
         Ok(ScaleAdjust { field, op })
     }
 
     fn to_value(&self) -> JsonValue {
-        let mut fields = vec![("field".to_string(), JsonValue::Str(self.field.clone()))];
+        let (key, n) = self.key_and_operand();
+        JsonValue::Obj(vec![
+            ("field".to_string(), JsonValue::Str(self.field.clone())),
+            (key.into(), num(n)),
+        ])
+    }
+
+    fn key_and_operand(&self) -> (&'static str, u64) {
         match self.op {
-            AdjustOp::Set(n) => fields.push(("set".into(), num(n))),
-            AdjustOp::Mul(n) => fields.push(("mul".into(), num(n))),
+            AdjustOp::Set(n) => ("set", n),
+            AdjustOp::Mul(n) => ("mul", n),
         }
-        JsonValue::Obj(fields)
+    }
+
+    /// The field's value after the adjustment, or `None` on overflow.
+    fn applied(&self, value: usize) -> Option<usize> {
+        match self.op {
+            AdjustOp::Set(n) => usize::try_from(n).ok(),
+            AdjustOp::Mul(n) => usize::try_from(n).ok()?.checked_mul(value),
+        }
     }
 
     /// Applies the adjustment to a scale.
     pub fn apply(&self, scale: &mut Scale) {
-        let slot = scale_field_mut(scale, &self.field)
-            .expect("field validity is checked at parse time");
-        match self.op {
-            AdjustOp::Set(n) => *slot = n as usize,
-            AdjustOp::Mul(n) => *slot *= n as usize,
+        let slot = scale_slot(scale, &self.field).expect("field validity is checked at parse time");
+        *slot = self
+            .applied(*slot)
+            .expect("overflow on every scale preset is rejected at parse time");
+    }
+}
+
+/// Rejects an adjustment list that overflows a field of any scale it may
+/// be applied to: the `small` and `paper` presets and the coverage-probe
+/// scale. `path` is the list's path.
+fn check_adjusts(adjust: &[ScaleAdjust], path: &str) -> Result<(), ScenarioError> {
+    let scales = [
+        ("small", Scale::small()),
+        ("paper", Scale::paper()),
+        ("probe", Scale::probe()),
+    ];
+    for (name, mut scale) in scales {
+        for (i, adj) in adjust.iter().enumerate() {
+            let slot = scale_slot(&mut scale, &adj.field)
+                .expect("field validity is checked at parse time");
+            let (key, n) = adj.key_and_operand();
+            let value = *slot;
+            *slot = adj.applied(value).ok_or_else(|| {
+                ScenarioError::new(
+                    format!("{path}[{i}].{key}"),
+                    format!(
+                        "{key} {n} overflows {} ({value} at this point on the {name} scale)",
+                        adj.field
+                    ),
+                )
+            })?;
         }
     }
+    Ok(())
 }
 
 /// Run parameters: workload scale, pipeline steps, and seed.
@@ -1218,8 +815,10 @@ impl ParamsSpec {
                 "seed" => spec.seed = Some(u64_of(value, &p)?),
                 "adjust" => {
                     for (i, item) in arr(value, &p)?.iter().enumerate() {
-                        spec.adjust.push(ScaleAdjust::parse(item, &format!("{p}[{i}]"))?);
+                        spec.adjust
+                            .push(ScaleAdjust::parse(item, &format!("{p}[{i}]"))?);
                     }
+                    check_adjusts(&spec.adjust, &p)?;
                 }
                 _ => return Err(unknown_field(path, key, &Self::FIELDS)),
             }

@@ -29,8 +29,8 @@ use std::collections::BTreeSet;
 
 use crate::error::ScenarioError;
 use crate::expand::{RobotsSpec, ScenarioSpec};
-use crate::json::{parse, JsonValue};
-use crate::spec::{arr, join, obj, str_of, u64_of, unknown_field, AdjustOp};
+use crate::json::{arr, join, obj, parse, str_of, u64_of, unknown_field, JsonValue};
+use crate::spec::AdjustOp;
 use tartan_telemetry::{greedy_min_subset, CoverageFingerprint, RobotRunStats};
 
 /// Version of the `corpus_manifest.json` schema.

@@ -12,7 +12,7 @@
 //!   events for masked categories; with no sink attached the cost is one
 //!   `Option` check per site.
 //! * **Sinks** ([`Sink`], [`CountingSink`], [`RingBufferSink`],
-//!   [`JsonLinesSink`], [`TeeSink`]) — pluggable destinations shared as
+//!   [`JsonLinesSink`]) — pluggable destinations shared as
 //!   [`SharedSink`] handles via [`shared`].
 //! * **Reports** ([`Report`], [`ReportBuilder`], [`Histogram`]) —
 //!   hierarchical phase scopes (robot → iteration → kernel) with
@@ -69,7 +69,7 @@ pub use report::{PhaseNode, Report, ReportBuilder, ScopeCounters};
 pub use shrink::greedy_min_subset;
 pub use sink::{
     shared, CountingSink, FaultCounts, JsonLinesSink, LevelCounts, RingBufferSink, SharedSink,
-    Sink, TeeSink,
+    Sink,
 };
 pub use stats::{
     stats_export_json, validate_host_bench_json, validate_stats_json, CacheCounters,

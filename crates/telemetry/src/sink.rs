@@ -391,47 +391,6 @@ impl Sink for JsonLinesSink {
     }
 }
 
-/// Fans one event stream out to several sinks.
-///
-/// Its interest is the union of the children's interests; each child still
-/// only receives the categories it asked for.
-#[derive(Default)]
-pub struct TeeSink {
-    children: Vec<SharedSink>,
-}
-
-impl TeeSink {
-    /// An empty tee.
-    pub fn new() -> TeeSink {
-        TeeSink::default()
-    }
-
-    /// Adds a child sink.
-    pub fn push(&mut self, child: SharedSink) {
-        self.children.push(child);
-    }
-}
-
-impl Sink for TeeSink {
-    fn record(&mut self, event: &Event) {
-        let cat = event.category();
-        for child in &self.children {
-            let mut guard = child.lock().expect("telemetry sink poisoned");
-            if guard.interest().contains(cat) {
-                guard.record(event);
-            }
-        }
-    }
-
-    fn interest(&self) -> Interest {
-        let mut i = Interest::none();
-        for child in &self.children {
-            i |= child.lock().expect("telemetry sink poisoned").interest();
-        }
-        i
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,22 +450,6 @@ mod tests {
         }
         assert_eq!(tiny.lines(), 1);
         assert_eq!(tiny.dropped(), 13);
-    }
-
-    #[test]
-    fn tee_fans_out_respecting_interest() {
-        let (counts_all, all) = shared(CountingSink::new());
-        let (counts_fault, faults) = shared(CountingSink::with_interest(Interest::FAULT));
-        let mut tee = TeeSink::new();
-        tee.push(all);
-        tee.push(faults);
-        assert!(tee.interest().contains(Interest::all()));
-        for e in sample_events() {
-            tee.record(&e);
-        }
-        // The all-categories child still misses the opt-in TRACE sample.
-        assert_eq!(counts_all.lock().unwrap().total(), 13);
-        assert_eq!(counts_fault.lock().unwrap().total(), 4);
     }
 
     #[test]

@@ -561,3 +561,138 @@ fn invalid_scenarios_fail_with_single_line_path_errors() {
         );
     }
 }
+
+/// The checked-in scenario documents, sorted: every manifest under
+/// `scenarios/` followed by every generated corpus file.
+fn checked_in_scenarios() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for dir in ["scenarios", "scenarios/corpus"] {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .expect("scenario directory exists")
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.ends_with(".json") && n != "corpus_manifest.json")
+            .collect();
+        names.sort();
+        for name in names {
+            let path = format!("{dir}/{name}");
+            let text = fs::read_to_string(&path).unwrap();
+            out.push((path, text));
+        }
+    }
+    out
+}
+
+/// `tartan_gen` writes each corpus file as `to_json` of its spec plus a
+/// newline, so a parse/render pass must reproduce every file byte for byte.
+#[test]
+fn corpus_files_are_render_fixed_points() {
+    let corpus: Vec<(String, String)> = checked_in_scenarios()
+        .into_iter()
+        .filter(|(path, _)| path.starts_with("scenarios/corpus/gen-"))
+        .collect();
+    assert_eq!(corpus.len(), 68, "checked-in corpus size");
+    for (path, text) in &corpus {
+        let spec = ScenarioSpec::from_json(text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert_eq!(
+            format!("{}\n", spec.to_json()),
+            *text,
+            "{path}: render differs"
+        );
+    }
+}
+
+/// Pins the store's content address: one SHA-256 over the cache-key text
+/// of every planned job of every checked-in scenario, each at its own
+/// stand-alone parameters. A change here silently turns every existing
+/// store entry into a miss (or, worse, a wrong hit), so it must come with
+/// a `CACHE_KEY_VERSION` bump.
+#[test]
+fn cache_key_texts_of_checked_in_scenarios_are_pinned() {
+    let mut hasher = tartan::store::Sha256::new();
+    let mut keys = 0;
+    for (path, text) in checked_in_scenarios() {
+        let spec = ScenarioSpec::from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let params = spec.base_params();
+        for job in spec.expand().unwrap_or_else(|e| panic!("{path}: {e}")).jobs {
+            hasher.update(job.cache_key_text(&params).as_bytes());
+            hasher.update(b"\n");
+            keys += 1;
+        }
+    }
+    let digest: String = hasher.finish().iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(keys, 344, "planned jobs across the checked-in scenarios");
+    assert_eq!(
+        digest,
+        "666eee8f452307849408d0ceab1fc44030a37dae3f040401e50f61df2a568681"
+    );
+}
+
+/// `smoke.json` with a `params` block carrying `adjust`.
+fn smoke_with_adjust(adjust: &str) -> String {
+    manifests::SMOKE.replacen(
+        "\"groups\":",
+        &format!("\"params\": {{\"adjust\": {adjust}}},\n  \"groups\":"),
+        1,
+    )
+}
+
+/// A multiplier that overflows a scale field is rejected at parse time,
+/// at the path of the offending `mul`, whichever scale it overflows: the
+/// adjust list is applied in order to `small`, `paper` and the probe scale.
+#[test]
+fn overflowing_scale_multipliers_are_rejected() {
+    let cases = [
+        // 64 × 2^62 overflows on every scale.
+        (
+            r#"[{"field": "grid2", "mul": 4611686018427387904}]"#,
+            "params.adjust[0].mul",
+            "small",
+        ),
+        // Each step fits alone; the product (2^6 · 2^40 · 2^30) does not.
+        (
+            r#"[{"field": "grid2", "mul": 1099511627776}, {"field": "grid2", "mul": 1073741824}]"#,
+            "params.adjust[1].mul",
+            "small",
+        ),
+        // 2^6 · 2^57 fits on the small scale; 2^8 · 2^57 does not fit on the paper one.
+        (
+            r#"[{"field": "grid2", "mul": 144115188075855872}]"#,
+            "params.adjust[0].mul",
+            "paper",
+        ),
+    ];
+    for (adjust, path, scale) in cases {
+        let err = ScenarioSpec::from_json(&smoke_with_adjust(adjust)).unwrap_err();
+        assert_eq!(err.path, path, "{adjust}: {err}");
+        assert!(err.reason.contains("overflows grid2"), "{err}");
+        assert!(err.reason.contains(&format!("the {scale} scale")), "{err}");
+    }
+    // A large multiplier that fits on every scale still parses.
+    let spec = ScenarioSpec::from_json(&smoke_with_adjust(r#"[{"field": "grid2", "mul": 1024}]"#))
+        .unwrap();
+    assert_eq!(spec.base_params().scale.grid2, 64 * 1024);
+}
+
+#[test]
+fn check_rejects_overflowing_scale_multipliers() {
+    let dir = std::env::temp_dir().join(format!("tartan-adjust-overflow-{}", std::process::id()));
+    fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("smoke-overflow.json");
+    fs::write(
+        &file,
+        smoke_with_adjust(r#"[{"field": "grid2", "mul": 4611686018427387904}]"#),
+    )
+    .unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tartan_run"))
+        .arg("--check")
+        .arg(&file)
+        .output()
+        .expect("spawn tartan_run");
+    let _ = fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains(": params.adjust[0].mul: mul 4611686018427387904 overflows grid2"),
+        "{stderr}"
+    );
+}
