@@ -182,14 +182,31 @@ mod tests {
         assert_eq!(sup.check(50.0), IterationVerdict::Accept);
     }
 
+    /// Debug builds treat a regressing CPU rerun as a bug and assert.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "must not regress")]
     fn cpu_rerun_regression_is_a_bug() {
         let mut sup = AxarSupervisor::new();
         sup.check(50.0);
         sup.check(60.0);
-        // Debug builds assert; release builds would get Err instead.
         let _ = sup.record_cpu_rerun(61.0);
+    }
+
+    /// Release builds report a regressing CPU rerun as a supervision error
+    /// and keep the best cost they had.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn cpu_rerun_regression_is_a_supervision_error() {
+        let mut sup = AxarSupervisor::new();
+        sup.check(50.0);
+        sup.check(60.0);
+        let err = sup.record_cpu_rerun(61.0).unwrap_err();
+        assert!(
+            matches!(&err, TartanError::Supervision(m) if m.contains("must not regress")),
+            "{err:?}"
+        );
+        assert_eq!(sup.best_cost(), Some(50.0));
     }
 
     #[test]

@@ -688,6 +688,12 @@ impl ScaleAdjust {
                         ));
                     }
                     let n = u64_of(value, &p)?;
+                    if n == 0 {
+                        // Every scale field sizes a workload: a zero grid,
+                        // particle count or epoch count runs nothing, and
+                        // some robots index out of bounds on it.
+                        return Err(ScenarioError::new(p, format!("{key} must be at least 1")));
+                    }
                     op = Some(if key == "set" {
                         AdjustOp::Set(n)
                     } else {
@@ -1040,5 +1046,22 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.reason.contains("exactly one"), "{err}");
+    }
+
+    #[test]
+    fn zero_adjust_operands_are_rejected() {
+        for (adjust, path) in [
+            (r#"{"field": "particles", "set": 0}"#, "params.adjust[0].set"),
+            (r#"{"field": "delibot_grid", "mul": 0}"#, "params.adjust[0].mul"),
+        ] {
+            let text = format!(r#"{{"adjust": [{adjust}]}}"#);
+            let err = ParamsSpec::parse(&parse(&text).unwrap(), "params").unwrap_err();
+            assert_eq!(err.path, path, "{err}");
+            assert!(err.reason.contains("must be at least 1"), "{err}");
+        }
+        // One is the smallest operand either way.
+        let text = r#"{"adjust": [{"field": "rays", "set": 1}, {"field": "rays", "mul": 1}]}"#;
+        let spec = ParamsSpec::parse(&parse(text).unwrap(), "params").unwrap();
+        assert_eq!(spec.adjust.len(), 2);
     }
 }

@@ -10,6 +10,13 @@
 //!   L1 → L2 → L3 → DRAM and exercise fills, evictions, and writebacks.
 //! * `prefetch_covered` — a sequential stream under the next-line
 //!   prefetcher, so most demand accesses find a timely in-flight line.
+//! * `l3_random` — random lines over a working set four times the L3, so
+//!   nearly every access misses everywhere and the host's own cache misses
+//!   on the simulator's tag store dominate (the other cases are resident
+//!   or sequential).
+//!
+//! `machine_new` times building a whole machine with the paper's
+//! 32K/256K/8M hierarchy: the fixed set-up cost of every simulated job.
 //!
 //! Host wall time per iteration is the figure of merit; simulated cycles
 //! are irrelevant here. `cargo bench -p tartan-sim` runs these through the
@@ -135,6 +142,46 @@ fn prefetch_covered(c: &mut Criterion) {
     group.finish();
 }
 
+fn l3_random(c: &mut Criterion) {
+    let mut group = c.benchmark_group("memhier");
+    group.sample_size(20);
+    let cfg = MachineConfig::tartan();
+    let l3_lines = cfg.l3.size_bytes / cfg.line_bytes;
+    let mut mem = MemorySystem::new(&cfg);
+    let mut now = 0u64;
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    group.bench_function("l3_random", |b| {
+        b.iter(|| {
+            let mut worst = 0;
+            for _ in 0..ACCESSES {
+                // xorshift64: a fixed pseudo-random line sequence.
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let addr = (state % (4 * l3_lines)) * cfg.line_bytes;
+                now += 1;
+                let kind = if state & 7 == 0 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                worst |= mem.access(0, 7, addr, 4, kind, MemPolicy::Normal, now);
+            }
+            black_box(worst)
+        })
+    });
+    group.finish();
+}
+
+fn machine_new(c: &mut Criterion) {
+    let mut group = c.benchmark_group("memhier");
+    group.sample_size(50);
+    group.bench_function("machine_new", |b| {
+        b.iter(|| black_box(Machine::new(MachineConfig::tartan())))
+    });
+    group.finish();
+}
+
 fn batch_unit_stride(c: &mut Criterion) {
     let mut group = c.benchmark_group("memhier");
     group.sample_size(100);
@@ -235,6 +282,8 @@ criterion_group!(
     l2_hit,
     dram_miss,
     prefetch_covered,
+    l3_random,
+    machine_new,
     batch_unit_stride,
     batch_ovec_strided,
     batch_mixed_interleave

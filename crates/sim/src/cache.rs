@@ -47,40 +47,39 @@ pub enum PrefetchOutcome {
     },
 }
 
-/// Packed per-line status bits: one byte instead of three `bool`s keeps a
-/// [`Line`] at 24 bytes, so a whole set stays inside one or two cachelines
-/// of the *host* during the tag scan.
-const VALID: u8 = 1 << 0;
-const DIRTY: u8 = 1 << 1;
-const PREFETCHED: u8 = 1 << 2;
+/// Per-way status bits, one byte per way in [`Cache`]'s flag array.
+/// Validity is not a bit: a zero tag marks an invalid way.
+const DIRTY: u8 = 1 << 0;
+const PREFETCHED: u8 = 1 << 1;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    line_number: u64,
-    /// Cycle (thread-local time domain) at which a prefetched line's data
-    /// arrives.
-    ready: u64,
-    /// LRU age: 0 = most recently used; larger = closer to eviction.
-    age: u32,
-    /// `VALID` / `DIRTY` / `PREFETCHED` bits.
-    flags: u8,
-}
-
-impl Line {
-    #[inline(always)]
-    fn valid(&self) -> bool {
-        self.flags & VALID != 0
-    }
-}
+/// Age values saturate here so FCP's `x²` manipulation cannot overflow.
+const AGE_MAX: u16 = 1 << 15;
 
 /// One set-associative cache level.
 ///
 /// The cache stores no data — only tags and replacement metadata — because
 /// the simulator is execution-driven: functional values live in the
 /// workload's own memory. The per-access loop is the simulator's hottest
-/// code: ways live in one flat preallocated array, the FCP index function
-/// runs on masks/shifts precomputed at construction, and LRU aging is
-/// branchless over the set.
+/// code, so the tag store is laid out for it:
+///
+/// * Per-field arrays instead of an array of line structs: the tag scan
+///   reads 4 bytes per way (an 8-way set is one 32-byte run), and LRU
+///   aging 2 bytes per way.
+/// * Every array is allocated zeroed and a zero tag means "invalid", so a
+///   fresh cache is a `calloc`: untouched sets of a large L3 are never
+///   written. The `ready` stamps are allocated by the first prefetch fill.
+/// * Each set remembers its most-recently-used way. A demand hit on it
+///   skips the tag scan and the LRU update, because the true-LRU touch of
+///   an age-0 way changes nothing.
+/// * The FCP index function runs on masks/shifts precomputed at
+///   construction, and LRU aging is branchless over the set.
+///
+/// Two invariants keep this exact. Only valid ways' ages are ever read:
+/// the victim choice takes the first invalid way before comparing ages,
+/// and the FCP manipulation skips invalid ways; so the aging loop may age
+/// invalid ways too. And within a set, the MRU way is the only valid way
+/// of age 0, since a touch ages every younger valid way and `m(x) ≥ 1`
+/// for `x ≥ 1`.
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: u64,
@@ -95,13 +94,53 @@ pub struct Cache {
     fcp_region_shift: u32,
     /// `offset_bits - xor_bits`: selects the high offset bits to XOR.
     fcp_offset_shift: u32,
-    lines: Vec<Line>,
+    /// Per way, set-major: line number + 1, or 0 for an invalid way.
+    tags: Vec<u32>,
+    /// Per way: LRU age, 0 = most recently used; larger = closer to
+    /// eviction. Meaningless for invalid ways.
+    ages: Vec<u16>,
+    /// Per way: `DIRTY` / `PREFETCHED` bits.
+    flags: Vec<u8>,
+    /// Per way: cycle (thread-local time domain) at which a prefetched
+    /// line's data arrives. Read only while `PREFETCHED` is set; empty
+    /// until the first prefetch fill.
+    ready: Vec<u64>,
+    /// Per set: the way last touched (the set's only valid age-0 way, if
+    /// any way is valid).
+    mru: Vec<u32>,
     /// Public running statistics for this level.
     pub stats: CacheStats,
 }
 
-/// Age values saturate here so FCP's `x²` manipulation cannot overflow.
-const AGE_MAX: u32 = 1 << 15;
+/// The tag stored for a line: its number plus one, so that 0 can mark an
+/// invalid way.
+///
+/// # Panics
+///
+/// Panics if the line number does not fit the 32-bit tag store, rather
+/// than let two lines alias one tag.
+#[inline(always)]
+fn tag_of(line_number: u64) -> u32 {
+    if line_number < u64::from(u32::MAX) {
+        line_number as u32 + 1
+    } else {
+        tag_overflow(line_number)
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn tag_overflow(line_number: u64) -> ! {
+    panic!("line number {line_number:#x} does not fit the 32-bit cache tag store")
+}
+
+/// A plain demand hit on a line no prefetch is pending for.
+const HIT: AccessOutcome = AccessOutcome {
+    hit: true,
+    covered_by_prefetch: false,
+    late_by: None,
+    evicted: None,
+};
 
 impl Cache {
     /// Creates a cache level.
@@ -144,6 +183,7 @@ impl Cache {
                 )
             }
         };
+        let n = (sets as usize) * (ways as usize);
         Cache {
             sets,
             ways,
@@ -153,7 +193,11 @@ impl Cache {
             fcp_offset_mask,
             fcp_region_shift,
             fcp_offset_shift,
-            lines: vec![Line::default(); (sets as usize) * (ways as usize)],
+            tags: vec![0; n],
+            ages: vec![0; n],
+            flags: vec![0; n],
+            ready: Vec::new(),
+            mru: vec![0; sets as usize],
             stats: CacheStats::default(),
         }
     }
@@ -196,54 +240,54 @@ impl Cache {
         }
     }
 
+    /// The way range of a set in the per-way arrays.
     #[inline(always)]
-    fn set_slice(&mut self, index: u64) -> &mut [Line] {
-        let start = (index as usize) * (self.ways as usize);
-        &mut self.lines[start..start + self.ways as usize]
+    fn set_range(&self, index: usize) -> std::ops::Range<usize> {
+        let start = index * (self.ways as usize);
+        start..start + self.ways as usize
     }
 
     /// True-LRU touch: the accessed way becomes age 0, ways that were
     /// younger than it age by one. The loop is branchless: the accessed way
     /// itself contributes a zero increment (`age < old_age` is false for
-    /// `age == old_age`), as do invalid and already-older ways. No clamp is
+    /// `age == old_age`), as do already-older ways. Invalid ways age along
+    /// with the rest, since no reader looks at their age. No clamp is
     /// needed: a way only increments when `age < old_age ≤ AGE_MAX`.
     #[inline(always)]
-    fn touch(set: &mut [Line], way: usize) {
-        let old_age = set[way].age;
-        for line in set.iter_mut() {
-            line.age += (line.valid() & (line.age < old_age)) as u32;
+    fn touch(ages: &mut [u16], way: usize) {
+        let old_age = ages[way];
+        for age in ages.iter_mut() {
+            *age += u16::from(*age < old_age);
         }
-        set[way].age = 0;
+        ages[way] = 0;
     }
 
     /// Tag compare across all ways, branchless: every way contributes a
     /// conditional-move instead of an early-exit branch, so the scan runs at
     /// a fixed few cycles regardless of which way (if any) matches. A line
     /// is resident in at most one way, so keeping the last match is
-    /// equivalent to the first.
+    /// equivalent to the first; an invalid way's zero tag matches nothing.
     #[inline(always)]
-    fn find(set: &[Line], line_number: u64) -> Option<usize> {
+    fn find(tags: &[u32], tag: u32) -> Option<usize> {
         let mut found = usize::MAX;
-        for (w, l) in set.iter().enumerate() {
-            let hit = l.valid() & (l.line_number == line_number);
-            found = if hit { w } else { found };
+        for (w, &t) in tags.iter().enumerate() {
+            found = if t == tag { w } else { found };
         }
         (found != usize::MAX).then_some(found)
     }
 
-    /// First invalid way, else the oldest (smallest way index on ties) — a
-    /// single pass instead of the scan-then-max two-pass.
+    /// First invalid way, else the oldest (smallest way index on ties).
     #[inline(always)]
-    fn victim(set: &[Line]) -> usize {
+    fn victim(tags: &[u32], ages: &[u16]) -> usize {
+        if let Some(w) = tags.iter().position(|&t| t == 0) {
+            return w;
+        }
         let mut victim = 0usize;
-        let mut victim_age = set[0].age;
-        for (w, l) in set.iter().enumerate() {
-            if !l.valid() {
-                return w;
-            }
-            if l.age > victim_age {
+        let mut victim_age = ages[0];
+        for (w, &age) in ages.iter().enumerate() {
+            if age > victim_age {
                 victim = w;
-                victim_age = l.age;
+                victim_age = age;
             }
         }
         victim
@@ -251,143 +295,140 @@ impl Cache {
 
     /// Applies FCP's recency manipulation `m(x)` to resident lines that
     /// share the filled line's region (§VII-B, steps 3–5 of Fig. 5).
-    fn manipulate_region(&mut self, index: u64, filled_line: u64) {
+    fn manipulate_region(&mut self, index: usize, filled_tag: u32) {
         let Some(fcp) = self.fcp else { return };
         let region_shift = self.fcp_region_shift;
-        let region = filled_line >> region_shift;
+        let region = u64::from(filled_tag - 1) >> region_shift;
         let m = fcp.manipulation;
-        for line in self.set_slice(index) {
-            if line.valid()
-                && line.line_number != filled_line
-                && line.line_number >> region_shift == region
-            {
-                line.age = m.apply(line.age).min(AGE_MAX);
+        let range = self.set_range(index);
+        for (&tag, age) in self.tags[range.clone()].iter().zip(&mut self.ages[range]) {
+            if tag != 0 && tag != filled_tag && u64::from(tag - 1) >> region_shift == region {
+                *age = m.apply(u32::from(*age)).min(u32::from(AGE_MAX)) as u16;
             }
         }
     }
 
     /// Performs a demand access (load or store) on a line at thread-local
     /// time `now`.
+    #[inline]
     pub fn access(&mut self, line_number: u64, is_write: bool, now: u64) -> AccessOutcome {
         self.stats.accesses += 1;
-        let index = self.index_of(line_number);
-        let set = self.set_slice(index);
-        if let Some(way) = Self::find(set, line_number) {
-            let was_prefetched = set[way].flags & PREFETCHED != 0;
-            let ready = set[way].ready;
-            set[way].flags = (set[way].flags & !PREFETCHED) | if is_write { DIRTY } else { 0 };
-            Self::touch(set, way);
-            if was_prefetched {
-                self.stats.prefetches_useful += 1;
-                if ready <= now {
-                    // Timely prefetch: the miss is fully covered.
-                    self.stats.prefetch_covered += 1;
-                    return AccessOutcome {
-                        hit: true,
-                        covered_by_prefetch: true,
-                        late_by: None,
-                        evicted: None,
-                    };
-                }
-                // Late prefetch: the line is in flight; the access waits for
-                // the remainder and counts as a miss for coverage.
-                self.stats.misses += 1;
-                self.stats.prefetches_late += 1;
-                return AccessOutcome {
-                    hit: true,
-                    covered_by_prefetch: false,
-                    late_by: Some(ready - now),
-                    evicted: None,
-                };
-            }
+        let tag = tag_of(line_number);
+        let index = self.index_of(line_number) as usize;
+        let dirty = if is_write { DIRTY } else { 0 };
+        // MRU short-circuit: a demand line in the set's age-0 way needs no
+        // scan, and its LRU touch would be a no-op.
+        let mru = index * (self.ways as usize) + self.mru[index] as usize;
+        if self.tags[mru] == tag && self.flags[mru] & PREFETCHED == 0 {
+            self.flags[mru] |= dirty;
             self.stats.hits += 1;
+            return HIT;
+        }
+        let range = self.set_range(index);
+        let Some(way) = Self::find(&self.tags[range.clone()], tag) else {
+            // Miss: fill.
+            self.stats.misses += 1;
+            let evicted = self.fill(index, tag, dirty, 0);
             return AccessOutcome {
-                hit: true,
-                covered_by_prefetch: false,
-                late_by: None,
-                evicted: None,
+                hit: false,
+                evicted,
+                ..HIT
+            };
+        };
+        let slot = range.start + way;
+        let flags = self.flags[slot];
+        self.flags[slot] = (flags & !PREFETCHED) | dirty;
+        Self::touch(&mut self.ages[range], way);
+        self.mru[index] = way as u32;
+        if flags & PREFETCHED == 0 {
+            self.stats.hits += 1;
+            return HIT;
+        }
+        self.stats.prefetches_useful += 1;
+        let ready = self.ready[slot];
+        if ready <= now {
+            // Timely prefetch: the miss is fully covered.
+            self.stats.prefetch_covered += 1;
+            return AccessOutcome {
+                covered_by_prefetch: true,
+                ..HIT
             };
         }
-        // Miss: fill.
+        // Late prefetch: the line is in flight; the access waits for the
+        // remainder and counts as a miss for coverage.
         self.stats.misses += 1;
-        let evicted = self.fill(index, line_number, is_write, false, 0);
+        self.stats.prefetches_late += 1;
         AccessOutcome {
-            hit: false,
-            covered_by_prefetch: false,
-            late_by: None,
-            evicted,
+            late_by: Some(ready - now),
+            ..HIT
         }
     }
 
     /// Inserts a prefetched line whose data arrives at `ready`.
     pub fn insert_prefetch(&mut self, line_number: u64, ready: u64) -> PrefetchOutcome {
-        let index = self.index_of(line_number);
-        let set = self.set_slice(index);
-        if Self::find(set, line_number).is_some() {
+        let tag = tag_of(line_number);
+        let index = self.index_of(line_number) as usize;
+        if Self::find(&self.tags[self.set_range(index)], tag).is_some() {
             return PrefetchOutcome::AlreadyPresent;
         }
         self.stats.prefetches_issued += 1;
-        let evicted = self.fill(index, line_number, false, true, ready);
+        let evicted = self.fill(index, tag, PREFETCHED, ready);
         PrefetchOutcome::Inserted { evicted }
     }
 
-    fn fill(
-        &mut self,
-        index: u64,
-        line_number: u64,
-        dirty: bool,
-        prefetched: bool,
-        ready: u64,
-    ) -> Option<EvictedLine> {
-        let set = self.set_slice(index);
-        let way = Self::victim(set);
-        let evicted = if set[way].valid() {
-            Some(EvictedLine {
-                line_number: set[way].line_number,
-                dirty: set[way].flags & DIRTY != 0,
-                prefetched: set[way].flags & PREFETCHED != 0,
-            })
-        } else {
-            None
-        };
-        set[way] = Line {
-            line_number,
-            ready,
-            // Start "infinitely old" so the touch below ages every other
-            // resident line by one, as a true LRU stack would.
-            age: AGE_MAX,
-            flags: VALID | if dirty { DIRTY } else { 0 } | if prefetched { PREFETCHED } else { 0 },
-        };
-        Self::touch(set, way);
+    /// Fills `tag` into set `index` with status `flags`; `ready` is stored
+    /// only for a prefetched fill.
+    fn fill(&mut self, index: usize, tag: u32, flags: u8, ready: u64) -> Option<EvictedLine> {
+        let range = self.set_range(index);
+        let way = Self::victim(&self.tags[range.clone()], &self.ages[range.clone()]);
+        let slot = range.start + way;
+        let old_tag = self.tags[slot];
+        let evicted = (old_tag != 0).then(|| EvictedLine {
+            line_number: u64::from(old_tag - 1),
+            dirty: self.flags[slot] & DIRTY != 0,
+            prefetched: self.flags[slot] & PREFETCHED != 0,
+        });
+        self.tags[slot] = tag;
+        self.flags[slot] = flags;
+        if flags & PREFETCHED != 0 {
+            if self.ready.is_empty() {
+                self.ready = vec![0; self.tags.len()];
+            }
+            self.ready[slot] = ready;
+        }
+        // Start "infinitely old" so the touch below ages every other
+        // resident line by one, as a true LRU stack would.
+        self.ages[slot] = AGE_MAX;
+        Self::touch(&mut self.ages[range], way);
+        self.mru[index] = way as u32;
         if let Some(ev) = evicted {
             self.stats.evictions += 1;
             if ev.dirty {
                 self.stats.writebacks += 1;
             }
         }
-        self.manipulate_region(index, line_number);
+        self.manipulate_region(index, tag);
         evicted
     }
 
     /// Whether a line is currently resident (no state change).
     pub fn contains(&self, line_number: u64) -> bool {
-        let index = self.index_of(line_number);
-        let start = (index as usize) * (self.ways as usize);
-        self.lines[start..start + self.ways as usize]
-            .iter()
-            .any(|l| l.valid() && l.line_number == line_number)
+        let tag = tag_of(line_number);
+        let index = self.index_of(line_number) as usize;
+        self.tags[self.set_range(index)].contains(&tag)
     }
 
     /// Number of currently valid lines (for invariants/testing).
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid()).count()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 
     /// Invalidates everything, keeping statistics.
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            *line = Line::default();
-        }
+        self.tags.fill(0);
+        self.ages.fill(0);
+        self.flags.fill(0);
+        self.mru.fill(0);
     }
 }
 
@@ -591,6 +632,77 @@ mod tests {
         c.flush();
         assert!(!c.contains(3));
         assert_eq!(c.stats.misses, 1);
+    }
+
+    #[test]
+    fn write_hit_on_clean_mru_line_evicts_dirty() {
+        let mut c = small_cache();
+        c.access(0, false, 0); // clean fill: set 0's MRU way
+        assert!(c.access(0, true, 1).hit, "short-circuit write hit");
+        c.access(4, false, 2);
+        c.access(4, false, 3);
+        let ev = c.access(8, false, 4).evicted.expect("set is full");
+        assert_eq!(
+            ev,
+            EvictedLine {
+                line_number: 0,
+                dirty: true,
+                prefetched: false
+            }
+        );
+        assert_eq!(c.stats.writebacks, 1);
+    }
+
+    #[test]
+    fn prefetched_mru_line_still_reports_covered_or_late() {
+        // A prefetch fill makes its way the set's MRU, so the first demand
+        // touch must not take the plain-hit short-circuit.
+        let mut c = small_cache();
+        c.insert_prefetch(12, 50);
+        let out = c.access(12, false, 100);
+        assert!(out.hit && out.covered_by_prefetch);
+        c.insert_prefetch(13, 500);
+        let out = c.access(13, false, 100);
+        assert!(out.hit && !out.covered_by_prefetch);
+        assert_eq!(out.late_by, Some(400));
+        // Both lines are now demanded: repeat touches are plain hits.
+        assert_eq!(c.access(13, false, 600), HIT);
+        assert_eq!(c.stats.prefetches_useful, 2);
+        assert_eq!(c.stats.prefetch_covered, 1);
+        assert_eq!(c.stats.prefetches_late, 1);
+        assert_eq!(c.stats.hits, 1);
+    }
+
+    #[test]
+    fn flush_resets_mru_state() {
+        let mut c = small_cache();
+        c.access(5, true, 0);
+        assert!(c.access(5, false, 1).hit);
+        c.flush();
+        assert_eq!(c.valid_lines(), 0);
+        let out = c.access(5, false, 2);
+        assert!(
+            !out.hit && out.evicted.is_none(),
+            "flushed MRU line must miss"
+        );
+        // The refill is clean: the pre-flush write does not survive.
+        c.access(9, false, 3);
+        let ev = c.access(13, false, 4).evicted.expect("set is full");
+        assert_eq!(
+            ev,
+            EvictedLine {
+                line_number: 5,
+                dirty: false,
+                prefetched: false
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the 32-bit cache tag store")]
+    fn line_beyond_tag_range_panics_instead_of_aliasing() {
+        let mut c = small_cache();
+        c.access(u64::from(u32::MAX), false, 0);
     }
 
     #[test]

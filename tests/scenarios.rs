@@ -673,6 +673,32 @@ fn overflowing_scale_multipliers_are_rejected() {
     assert_eq!(spec.base_params().scale.grid2, 64 * 1024);
 }
 
+/// A zero `set` or `mul` would leave a robot an empty workload (some
+/// index out of bounds on it), so `--check` rejects it as an input error
+/// instead of passing a document that then fails every job.
+#[test]
+fn check_rejects_zero_scale_operands() {
+    let dir = std::env::temp_dir().join(format!("tartan-adjust-zero-{}", std::process::id()));
+    fs::create_dir_all(&dir).unwrap();
+    let cases = [
+        (r#"[{"field": "particles", "set": 0}]"#, "params.adjust[0].set: set must be at least 1"),
+        (r#"[{"field": "rays", "mul": 2}, {"field": "delibot_grid", "mul": 0}]"#, "params.adjust[1].mul: mul must be at least 1"),
+    ];
+    for (i, (adjust, expected)) in cases.iter().enumerate() {
+        let file = dir.join(format!("smoke-zero-{i}.json"));
+        fs::write(&file, smoke_with_adjust(adjust)).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_tartan_run"))
+            .arg("--check")
+            .arg(&file)
+            .output()
+            .expect("spawn tartan_run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{adjust}: stderr: {stderr}");
+        assert!(stderr.contains(expected), "{adjust}: {stderr}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn check_rejects_overflowing_scale_multipliers() {
     let dir = std::env::temp_dir().join(format!("tartan-adjust-overflow-{}", std::process::id()));
