@@ -13,6 +13,7 @@
 //! per-core storage the paper attributes to Bingo.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
 use crate::{PrefetchContext, Prefetcher};
 
@@ -56,11 +57,14 @@ pub struct Bingo {
     lines_per_region: u32,
     /// Footprints of in-flight region generations, keyed by region number.
     active: HashMap<u64, Generation>,
-    /// Long-event history: (PC, offset) → footprint bitmap.
-    history_long: HashMap<(u64, u32), u64>,
-    /// Short-event history: PC → footprint bitmap.
-    history_short: HashMap<u64, u64>,
+    /// Long-event history: (PC, offset) → (footprint bitmap, commit number).
+    history_long: HashMap<(u64, u32), (u64, u64)>,
+    /// Short-event history: PC → (footprint bitmap, commit number).
+    history_short: HashMap<u64, (u64, u64)>,
     stamp: u64,
+    /// Generations committed so far: numbers history entries, so a full
+    /// table evicts its least recently committed one.
+    commits: u64,
 }
 
 impl Bingo {
@@ -88,6 +92,7 @@ impl Bingo {
             history_long: HashMap::new(),
             history_short: HashMap::new(),
             stamp: 0,
+            commits: 0,
         }
     }
 
@@ -101,35 +106,31 @@ impl Bingo {
 
     fn commit(&mut self, region: u64) {
         if let Some(generation) = self.active.remove(&region) {
+            self.commits += 1;
             let key = (generation.trigger_pc, generation.trigger_offset);
-            self.history_long.insert(key, generation.footprint);
+            self.history_long
+                .insert(key, (generation.footprint, self.commits));
             // Merge into the short-event table so a different trigger offset
             // still finds a (rotated) pattern.
             let rotated = generation.footprint.rotate_right(generation.trigger_offset);
-            self.history_short.insert(generation.trigger_pc, rotated);
-            if self.history_long.len() > HISTORY_ENTRIES {
-                // Cheap capacity bound: drop an arbitrary entry. A real Bingo
-                // uses set-associative tables with LRU; for the timing study
-                // only the hit patterns matter.
-                if let Some(&k) = self.history_long.keys().next() {
-                    self.history_long.remove(&k);
-                }
-            }
-            if self.history_short.len() > HISTORY_ENTRIES {
-                if let Some(&k) = self.history_short.keys().next() {
-                    self.history_short.remove(&k);
-                }
-            }
+            self.history_short
+                .insert(generation.trigger_pc, (rotated, self.commits));
+            // Capacity bound: drop the least recently committed entry. A
+            // real Bingo uses set-associative tables with LRU; for the
+            // timing study only the hit patterns matter, but which entry
+            // goes must not depend on the map's per-process hash order.
+            evict_oldest(&mut self.history_long);
+            evict_oldest(&mut self.history_short);
         }
     }
 
     fn lookup_footprint(&self, pc: u64, offset: u32) -> Option<u64> {
-        if let Some(&fp) = self.history_long.get(&(pc, offset)) {
+        if let Some(&(fp, _)) = self.history_long.get(&(pc, offset)) {
             return Some(fp);
         }
         self.history_short
             .get(&pc)
-            .map(|fp| fp.rotate_left(offset) & self.region_mask())
+            .map(|&(fp, _)| fp.rotate_left(offset) & self.region_mask())
     }
 
     fn region_mask(&self) -> u64 {
@@ -138,6 +139,22 @@ impl Bingo {
         } else {
             (1u64 << self.lines_per_region) - 1
         }
+    }
+}
+
+/// Removes `table`'s least recently committed entry once it holds more than
+/// [`HISTORY_ENTRIES`]. Commit numbers are unique within a table, so the
+/// victim is the same in every process.
+fn evict_oldest<K: Copy + Eq + Hash>(table: &mut HashMap<K, (u64, u64)>) {
+    if table.len() <= HISTORY_ENTRIES {
+        return;
+    }
+    let oldest = table
+        .iter()
+        .min_by_key(|(_, &(_, commit))| commit)
+        .map(|(&key, _)| key);
+    if let Some(key) = oldest {
+        table.remove(&key);
     }
 }
 
@@ -202,6 +219,7 @@ impl Prefetcher for Bingo {
         self.history_long.clear();
         self.history_short.clear();
         self.stamp = 0;
+        self.commits = 0;
     }
 }
 
@@ -281,6 +299,47 @@ mod tests {
         bingo.reset();
         bingo.on_access(miss(0x10, 0), &mut out);
         assert!(out.is_empty());
+    }
+
+    /// Learns `triggers` distinct (PC, offset) events, one region
+    /// generation each, then replays every trigger, newest first, in a
+    /// fresh region and returns the prefetch stream. Each replayed
+    /// generation commits before the next, so a surviving trigger's replay
+    /// only refreshes its own entries and evicts nothing.
+    fn overflow_stream(triggers: u64) -> Vec<u64> {
+        let mut bingo = Bingo::new(64);
+        let mut out = Vec::new();
+        for i in 0..triggers {
+            let base = i * REGION_BYTES;
+            let offset = i % 32;
+            bingo.on_access(miss(0x1000 + i, base + offset * 64), &mut out);
+            bingo.on_access(miss(0x9, base + (offset + 1) % 32 * 64), &mut out);
+            bingo.on_eviction(base);
+        }
+        out.clear();
+        for i in (0..triggers).rev() {
+            let base = (triggers + i) * REGION_BYTES;
+            bingo.on_access(miss(0x1000 + i, base + i % 32 * 64), &mut out);
+            bingo.on_eviction(base);
+        }
+        out
+    }
+
+    #[test]
+    fn overflow_evicts_the_same_entries_in_every_instance() {
+        // Both tables overflow: 5000 distinct PCs and (PC, offset) pairs
+        // against 4096 entries each. Two instances (each `HashMap` seeded
+        // differently) must replay identically, and the survivors must be
+        // exactly the most recently committed triggers.
+        let triggers = 5000;
+        let stream = overflow_stream(triggers);
+        assert_eq!(stream, overflow_stream(triggers));
+        let evicted = triggers - HISTORY_ENTRIES as u64;
+        let replayed: Vec<u64> = (evicted..triggers)
+            .rev()
+            .map(|i| (triggers + i) * REGION_BYTES + (i % 32 + 1) % 32 * 64)
+            .collect();
+        assert_eq!(stream, replayed);
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl BenchmarkGroup {
         body(&mut b);
         let mean_ns = b.elapsed.as_nanos() as f64 / b.iterations as f64;
         println!(
-            "{}/{}: {:.1} us/iter ({} iters)",
+            "{}/{}: {:.3} us/iter ({} iters)",
             self.name,
             id,
             mean_ns / 1000.0,

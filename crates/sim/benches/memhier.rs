@@ -4,8 +4,12 @@
 //! Four regimes bracket the cases that dominate real runs:
 //!
 //! * `l1_hit` — the pure fast path: a working set resident in the L1.
-//! * `l2_hit` — L1 misses that land in the private L2 (FCP-indexed on
-//!   Tartan configs).
+//! * `l2_hit_fcp` — L1 misses that land in the private, FCP-indexed L2
+//!   of the Tartan config; its set-up asserts an L2 hit ratio of at
+//!   least 0.9.
+//! * `l2_fcp_thrash` — a dense working set half the L2's size that FCP's
+//!   rule (one region over only `2^l` sets) squeezes into a quarter of the
+//!   sets, so nearly every L2 access misses: FCP working as designed.
 //! * `dram_miss` — the full-hierarchy miss: streaming accesses that walk
 //!   L1 → L2 → L3 → DRAM and exercise fills, evictions, and writebacks.
 //! * `prefetch_covered` — a sequential stream under the next-line
@@ -53,21 +57,78 @@ fn l1_hit(c: &mut Criterion) {
     group.finish();
 }
 
+/// Demand L2 hits over L2 accesses across `accesses` calls of `next`.
+fn l2_hit_ratio(
+    mem: &mut MemorySystem,
+    now: &mut u64,
+    accesses: u64,
+    next: impl Fn(u64) -> u64,
+) -> f64 {
+    let before = mem.l2_stats();
+    for i in 0..accesses {
+        *now += 1;
+        mem.access(0, 1, next(i), 4, AccessKind::Read, MemPolicy::Normal, *now);
+    }
+    let after = mem.l2_stats();
+    (after.hits - before.hits) as f64 / (after.accesses - before.accesses).max(1) as f64
+}
+
 fn l2_hit(c: &mut Criterion) {
     let mut group = c.benchmark_group("memhier");
     group.sample_size(100);
     // Tartan config: the L2 runs FCP indexing, so this measures the
-    // region/XOR index computation on every access.
+    // region/XOR index computation on every access. FCP spreads a region
+    // over only `2^l` sets, and the `2^l` regions next to each other share
+    // those sets, so the working set takes one region in every `2^l` (each
+    // with its own sets) and every other line of it (half the ways of
+    // each set, leaving room for the prefetcher's neighbour lines): 4096
+    // lines, half the L2 and four times the L1.
+    let cfg = MachineConfig::tartan();
+    let fcp = cfg.fcp.expect("the Tartan config runs FCP");
+    let region = fcp.region_bytes;
+    let spacing = region << fcp.xor_bits;
+    let per_region = region / cfg.line_bytes / 2;
+    let lines = 4096u64;
+    let addr = move |i: u64| {
+        let line = (i * 97) % lines;
+        (line / per_region) * spacing + (line % per_region) * 2 * cfg.line_bytes
+    };
+    let mut mem = MemorySystem::new(&cfg);
+    let mut now = 0u64;
+    l2_hit_ratio(&mut mem, &mut now, 4 * lines, addr);
+    let ratio = l2_hit_ratio(&mut mem, &mut now, ACCESSES, addr);
+    assert!(
+        ratio >= 0.9,
+        "l2_hit_fcp must hit the L2: hit ratio {ratio:.3}"
+    );
+    group.bench_function("l2_hit_fcp", |b| {
+        b.iter(|| {
+            let mut worst = 0;
+            for i in 0..ACCESSES {
+                now += 1;
+                worst |= mem.access(0, 1, addr(i), 4, AccessKind::Read, MemPolicy::Normal, now);
+            }
+            black_box(worst)
+        })
+    });
+    group.finish();
+}
+
+fn l2_fcp_thrash(c: &mut Criterion) {
+    let mut group = c.benchmark_group("memhier");
+    group.sample_size(100);
+    // The same Tartan L2, but a dense working set: 2048 lines at a 64 B
+    // stride. Regions next to each other share their `2^l` sets, so these
+    // lines compete for a quarter of the sets and nearly every L2 access
+    // misses.
     let cfg = MachineConfig::tartan();
     let mut mem = MemorySystem::new(&cfg);
-    // A working set larger than the L1 but comfortably inside the L2:
-    // 2048 lines striding past the L1 sets.
     let lines = 2048u64;
     let mut now = 0u64;
     for i in 0..lines {
         now += mem.access(0, 1, i * 64, 4, AccessKind::Read, MemPolicy::Normal, now);
     }
-    group.bench_function("l2_hit_fcp", |b| {
+    group.bench_function("l2_fcp_thrash", |b| {
         b.iter(|| {
             let mut worst = 0;
             for i in 0..ACCESSES {
@@ -280,6 +341,7 @@ criterion_group!(
     benches,
     l1_hit,
     l2_hit,
+    l2_fcp_thrash,
     dram_miss,
     prefetch_covered,
     l3_random,

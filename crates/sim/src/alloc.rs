@@ -92,7 +92,7 @@ pub struct Buffer<T: 'static> {
 impl<T: 'static> Drop for Buffer<T> {
     fn drop(&mut self) {
         // `f32` backing stores feed the per-worker arena; everything else
-        // drops normally. The downcast erases the generic without unsafe.
+        // drops normally. The checked `Any` downcast erases the generic.
         let data: &mut dyn Any = &mut self.data;
         if let Some(v) = data.downcast_mut::<Vec<f32>>() {
             recycle_f32(std::mem::take(v));

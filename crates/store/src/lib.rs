@@ -206,7 +206,7 @@ impl ResultStore {
             }
             Err(e) => return Err(StoreError::new(&path, e)),
         };
-        match Self::decode(key, &bytes) {
+        match Self::decode(key, bytes) {
             Ok(payload) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Ok(Some(payload))
@@ -224,8 +224,9 @@ impl ResultStore {
     }
 
     /// Validates an entry's raw bytes against `key` and extracts the
-    /// payload. Pure, so corruption tests can call it directly.
-    fn decode(key: &str, bytes: &[u8]) -> Result<String, String> {
+    /// payload, reusing the read buffer for it. Pure, so corruption tests
+    /// can call it directly.
+    fn decode(key: &str, mut bytes: Vec<u8>) -> Result<String, String> {
         let nl = bytes
             .iter()
             .position(|&b| b == b'\n')
@@ -234,7 +235,7 @@ impl ResultStore {
             std::str::from_utf8(&bytes[..nl]).map_err(|_| "header is not UTF-8".to_string())?;
         let version = header_field(header, "\"tartan_store\":")
             .ok_or("header missing tartan_store version")?;
-        if version != STORE_FORMAT_VERSION.to_string() {
+        if !is_format_version(version) {
             return Err(format!("unsupported store format version {version}"));
         }
         let header_key = header_field(header, "\"key\":\"").ok_or("header missing key")?;
@@ -257,7 +258,8 @@ impl ResultStore {
         if sha256_hex(payload) != want_sha {
             return Err("payload SHA-256 mismatch (bit corruption)".into());
         }
-        String::from_utf8(payload.to_vec()).map_err(|_| "payload is not UTF-8".into())
+        bytes.drain(..=nl);
+        String::from_utf8(bytes).map_err(|_| "payload is not UTF-8".into())
     }
 
     /// Moves `key`'s entry (if present) into `quarantine/`. Returns whether
@@ -330,6 +332,15 @@ impl ResultStore {
         }
         Ok(n)
     }
+}
+
+/// Whether `text` is exactly the decimal rendering of
+/// [`STORE_FORMAT_VERSION`] that `put` writes. `u32::from_str` also takes a
+/// `+` sign and leading zeros; both make the text longer than the
+/// rendering, so the length test rejects them.
+fn is_format_version(text: &str) -> bool {
+    let digits = STORE_FORMAT_VERSION.checked_ilog10().unwrap_or(0) as usize + 1;
+    text.len() == digits && text.parse() == Ok(STORE_FORMAT_VERSION)
 }
 
 /// Extracts the value following `tag` in a single-line JSON header: up to
@@ -500,6 +511,40 @@ mod tests {
         let reopened = ResultStore::open(&dir).unwrap();
         assert_eq!(reopened.counts(), StoreCounts::default());
         let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn format_version_must_match_the_written_text_exactly() {
+        let v = STORE_FORMAT_VERSION;
+        assert!(is_format_version(&v.to_string()));
+        let near_misses = [
+            format!("+{v}"),
+            format!("0{v}"),
+            format!("{v}.0"),
+            format!(" {v}"),
+            (v + 1).to_string(),
+            String::new(),
+            "x".to_string(),
+        ];
+        for bad in &near_misses {
+            assert!(!is_format_version(bad), "{bad:?}");
+        }
+        let key = sha256_hex(b"versioned");
+        let entry = |version: &str| {
+            format!(
+                "{{\"tartan_store\":{version},\"key\":\"{key}\",\"payload_sha256\":\"{}\",\"payload_bytes\":2}}\nok",
+                sha256_hex(b"ok")
+            )
+            .into_bytes()
+        };
+        assert_eq!(
+            ResultStore::decode(&key, entry(&v.to_string())).as_deref(),
+            Ok("ok")
+        );
+        assert_eq!(
+            ResultStore::decode(&key, entry(&format!("0{v}"))),
+            Err(format!("unsupported store format version 0{v}"))
+        );
     }
 
     #[test]

@@ -21,23 +21,33 @@
 use std::borrow::Cow;
 use std::fmt::{self, Display};
 
-/// Appends `s` as a JSON string literal (quoted, escaped).
+/// Appends `s` as a JSON string literal (quoted, escaped). Runs of bytes
+/// that need no escape are copied whole.
 pub fn push_str(buf: &mut String, s: &str) {
     buf.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            '\t' => buf.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..0x20 => None,
+            _ => continue,
+        };
+        // `i` indexes an ASCII byte, which is always a char boundary.
+        buf.push_str(&s[run..i]);
+        match escape {
+            Some(escape) => buf.push_str(escape),
+            None => {
                 use std::fmt::Write;
-                let _ = write!(buf, "\\u{:04x}", c as u32);
+                let _ = write!(buf, "\\u{byte:04x}");
             }
-            c => buf.push(c),
         }
+        run = i + 1;
     }
+    buf.push_str(&s[run..]);
     buf.push('"');
 }
 
@@ -544,6 +554,44 @@ mod tests {
         assert_eq!(parse(&s).unwrap(), JsonValue::Str(original.into()));
         let v = JsonValue::Str(original.into());
         assert_eq!(parse(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn push_str_matches_per_char_escaping() {
+        // The per-char escaper `push_str` replaced, kept as the reference.
+        fn per_char(s: &str) -> String {
+            let mut buf = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => buf.push_str("\\\""),
+                    '\\' => buf.push_str("\\\\"),
+                    '\n' => buf.push_str("\\n"),
+                    '\r' => buf.push_str("\\r"),
+                    '\t' => buf.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(buf, "\\u{:04x}", c as u32);
+                    }
+                    c => buf.push(c),
+                }
+            }
+            buf.push('"');
+            buf
+        }
+        let every_control: String = (0u8..0x20).map(char::from).collect();
+        for text in [
+            "",
+            "plain",
+            "\"",
+            "\\\\",
+            "a \"quoted\"\nline\twith \\ control \u{1} é\r",
+            "é\u{7f}\u{80}ü\u{1f}€\u{10348}\"",
+            "\u{1f}trailing escape\n",
+            &every_control,
+        ] {
+            let mut fast = String::new();
+            push_str(&mut fast, text);
+            assert_eq!(fast, per_char(text), "{text:?}");
+        }
     }
 
     #[test]
