@@ -63,10 +63,6 @@ pub struct FlagSet {
     /// `--resume` and `--verify N` (require `--store`; the binary
     /// enforces that pairing, since only it knows its usage string).
     pub resume_verify: bool,
-    /// `--retries N` (≥ 1).
-    pub retries: bool,
-    /// `--watchdog MS` (≥ 1).
-    pub watchdog: bool,
     /// `--progress[=human|jsonl]`.
     pub progress: bool,
     /// `--batch DIR` (expand to every `*.json` inside, sorted).
@@ -89,8 +85,6 @@ impl FlagSet {
             scale: false,
             store: false,
             resume_verify: false,
-            retries: false,
-            watchdog: false,
             progress: false,
             batch: false,
             help: false,
@@ -118,10 +112,6 @@ pub struct ParsedArgs {
     pub resume: bool,
     /// `--verify N` (0 = off).
     pub verify: usize,
-    /// `--retries N` (default 1).
-    pub retries: u32,
-    /// `--watchdog MS`.
-    pub watchdog_ms: Option<u64>,
     /// `--progress` mode.
     pub progress: Option<ProgressMode>,
     /// `--batch DIR`.
@@ -149,8 +139,6 @@ pub fn parse_args(args: &[String], flags: &FlagSet) -> Result<ParsedArgs, String
         store: None,
         resume: false,
         verify: 0,
-        retries: 1,
-        watchdog_ms: None,
         progress: None,
         batch: None,
         extras: Vec::new(),
@@ -177,14 +165,6 @@ pub fn parse_args(args: &[String], flags: &FlagSet) -> Result<ParsedArgs, String
             "--verify" if flags.resume_verify => match it.next().map(|v| v.parse::<usize>()) {
                 Some(Ok(n)) => p.verify = n,
                 _ => return Err("--verify needs a sample count".to_string()),
-            },
-            "--retries" if flags.retries => match it.next().map(|v| v.parse::<u32>()) {
-                Some(Ok(n)) if n >= 1 => p.retries = n,
-                _ => return Err("--retries needs a count of at least 1".to_string()),
-            },
-            "--watchdog" if flags.watchdog => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(ms)) if ms >= 1 => p.watchdog_ms = Some(ms),
-                _ => return Err("--watchdog needs a timeout in milliseconds".to_string()),
             },
             "--progress" | "--progress=human" if flags.progress => {
                 p.progress = Some(ProgressMode::Human)
@@ -238,8 +218,6 @@ mod tests {
             scale: true,
             store: true,
             resume_verify: true,
-            retries: true,
-            watchdog: true,
             progress: true,
             batch: true,
             help: false,
@@ -264,8 +242,6 @@ mod tests {
             (vec!["--scale"], "--scale needs a preset (small|paper)"),
             (vec!["--store"], "--store needs a directory"),
             (vec!["--verify", "many"], "--verify needs a sample count"),
-            (vec!["--retries", "0"], "--retries needs a count of at least 1"),
-            (vec!["--watchdog", "0"], "--watchdog needs a timeout in milliseconds"),
             (vec!["--progress=loud"], "unknown progress mode \"--progress=loud\" (human|jsonl)"),
             (vec!["--batch"], "--batch needs a directory"),
             (vec!["--frobnicate"], "unrecognized flag --frobnicate"),
@@ -286,6 +262,12 @@ mod tests {
         assert_eq!(err, "unrecognized flag --store");
         let err = parse_args(&argv(&["stray.json"]), &f).unwrap_err();
         assert_eq!(err, "unexpected argument \"stray.json\"");
+        // Jobs are deterministic, so no flag set offers retries or a
+        // watchdog.
+        for flag in ["--retries", "--watchdog"] {
+            let err = parse_args(&argv(&[flag, "2"]), &full()).unwrap_err();
+            assert_eq!(err, format!("unrecognized flag {flag}"));
+        }
     }
 
     #[test]
@@ -294,8 +276,7 @@ mod tests {
         let p = parse_args(
             &argv(&[
                 "a.json", "--jobs", "3", "--out", "o", "--scale", "paper", "--store", "s",
-                "--resume", "--verify", "2", "--retries", "4", "--watchdog", "50",
-                "--progress=jsonl", "b.json",
+                "--resume", "--verify", "2", "--progress=jsonl", "b.json",
             ]),
             &f,
         )
@@ -307,8 +288,6 @@ mod tests {
         assert_eq!(p.store, Some(PathBuf::from("s")));
         assert!(p.resume);
         assert_eq!(p.verify, 2);
-        assert_eq!(p.retries, 4);
-        assert_eq!(p.watchdog_ms, Some(50));
         assert_eq!(p.progress, Some(ProgressMode::Jsonl));
     }
 

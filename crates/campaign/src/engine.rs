@@ -12,7 +12,7 @@
 //! simulations are byte-deterministic, fanning out a clone is
 //! indistinguishable from re-running the job.
 //!
-//! [`Engine::run`] wraps `tartan-par`'s panic-isolated retrying pool with
+//! [`Engine::run`] wraps `tartan-par`'s panic-isolated worker pool with
 //! the store/resume/verify machinery behind a single call, streams typed
 //! [`CampaignEvent`]s in a deterministic order (a prefix-release reorder
 //! buffer over unit indices: unit *i*'s events are emitted once every unit
@@ -24,7 +24,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use tartan_core::{run_robot, ExperimentParams, RunOutcome};
 use tartan_par as par;
@@ -94,10 +94,6 @@ pub struct CampaignOptions {
     /// Host worker threads (`0` is treated as 1). Exports are
     /// byte-identical at any count.
     pub jobs: usize,
-    /// Attempts per job (≥ 1); panics are isolated per attempt.
-    pub retries: u32,
-    /// Flag jobs running longer than this (surfaced, never killed).
-    pub watchdog: Option<Duration>,
     /// Content-addressed result store directory.
     pub store: Option<PathBuf>,
     /// Serve jobs from the store instead of re-simulating them.
@@ -118,8 +114,6 @@ impl Default for CampaignOptions {
     fn default() -> CampaignOptions {
         CampaignOptions {
             jobs: 1,
-            retries: 1,
-            watchdog: None,
             store: None,
             resume: false,
             verify: 0,
@@ -290,15 +284,13 @@ pub enum CampaignEvent<'a> {
         /// True when this slot received a fan-out copy.
         deduped: bool,
     },
-    /// The job's unit failed every attempt.
+    /// The job's unit panicked.
     Failed {
         /// Campaign index.
         campaign: usize,
         /// Job index within the campaign's plan.
         job: usize,
-        /// Attempts made before giving up.
-        attempts: u32,
-        /// The final panic message.
+        /// The panic message.
         message: &'a str,
         /// True when this slot mirrors a shared unit's failure.
         deduped: bool,
@@ -342,12 +334,6 @@ pub struct CampaignReport {
     pub cached_units: u64,
     /// `--verify` mismatches found (each also repaired the store entry).
     pub verify_mismatches: usize,
-    /// Unit indices that needed extra attempts.
-    pub retried_jobs: Vec<usize>,
-    /// Extra attempts across all units.
-    pub total_retries: u64,
-    /// Unit indices flagged by the watchdog.
-    pub slow_jobs: Vec<usize>,
     /// Worker threads the pool actually used.
     pub workers: usize,
     /// Wall-clock nanos of the execution phase.
@@ -514,7 +500,7 @@ fn xorshift64star(state: &mut u64) -> u64 {
 /// A unit's terminal state in the event reorder buffer.
 enum UnitTerminal {
     Output(Box<JobOutput>),
-    Failure { attempts: u32, message: String },
+    Failure(String),
 }
 
 /// The prefix-release reorder buffer: units stash their terminal state as
@@ -579,11 +565,10 @@ impl<'a> EventHub<'a> {
                             deduped,
                         });
                     }
-                    UnitTerminal::Failure { attempts, message } => {
+                    UnitTerminal::Failure(message) => {
                         (self.sink)(&CampaignEvent::Failed {
                             campaign: r.campaign,
                             job: r.job,
-                            attempts: *attempts,
                             message,
                             deduped,
                         });
@@ -607,10 +592,6 @@ struct ProgressObserver<'a> {
     /// `None` collects metrics and spans without printing anything.
     mode: Option<ProgressMode>,
     claimed: Counter,
-    started: Counter,
-    retried: Counter,
-    slow: Counter,
-    panicked: Counter,
     done: Counter,
     failed: Counter,
     /// Results served from the store; bumped by the job closure, read
@@ -619,7 +600,7 @@ struct ProgressObserver<'a> {
     spans: Mutex<Vec<JobSpan>>,
     finished: AtomicUsize,
     last_beat_nanos: AtomicU64,
-    /// Event reorder buffer; failures are stashed from `on_panicked`.
+    /// Event reorder buffer; failures are stashed from `on_failed`.
     hub: Option<&'a EventHub<'a>>,
 }
 
@@ -636,10 +617,6 @@ impl<'a> ProgressObserver<'a> {
             total,
             mode,
             claimed: registry.counter("job.claimed"),
-            started: registry.counter("job.started"),
-            retried: registry.counter("job.retried"),
-            slow: registry.counter("job.slow"),
-            panicked: registry.counter("job.panicked"),
             done: registry.counter("job.done"),
             failed: registry.counter("job.failed"),
             cached: registry.counter("job.cached"),
@@ -695,8 +672,6 @@ impl<'a> ProgressObserver<'a> {
             total: self.total,
             elapsed_nanos: now,
             cache_hits: self.cached.get(),
-            retries: self.retried.get(),
-            slow: self.slow.get(),
             failures: self.failed.get(),
         };
         match mode {
@@ -716,42 +691,18 @@ impl par::JobObserver for ProgressObserver<'_> {
         });
     }
 
-    fn on_started(&self, _index: usize, _attempt: u32) {
-        self.started.inc();
-    }
-
-    fn on_retried(&self, _index: usize, _attempt: u32, _message: &str) {
-        self.retried.inc();
-    }
-
-    fn on_slow(&self, index: usize, _elapsed: Duration) {
-        self.slow.inc();
-        self.with_span(index, |s| s.slow = true);
-    }
-
-    fn on_panicked(&self, index: usize, attempts: u32, message: &str) {
-        self.panicked.inc();
+    fn on_failed(&self, index: usize, message: &str) {
+        self.failed.inc();
         if let Some(hub) = self.hub {
-            hub.stash(
-                index,
-                UnitTerminal::Failure {
-                    attempts,
-                    message: message.to_string(),
-                },
-            );
+            hub.stash(index, UnitTerminal::Failure(message.to_string()));
         }
     }
 
-    fn on_done(&self, index: usize, worker: usize, _host_nanos: u64, attempts: u32, ok: bool) {
+    fn on_done(&self, index: usize, ok: bool) {
         self.done.inc();
-        if !ok {
-            self.failed.inc();
-        }
         let now = self.nanos();
         self.with_span(index, |s| {
-            s.worker = worker;
             s.end_nanos = now;
-            s.attempts = attempts;
             s.ok = ok;
         });
         let done = self.finished.fetch_add(1, Ordering::SeqCst) + 1;
@@ -775,7 +726,7 @@ impl Engine {
 
     /// Executes the batch: keys and dedupes the jobs, runs each distinct
     /// unit once under `tartan-par` (store-served when resuming, with
-    /// panic isolation and retries), streams events to `sink`, verifies a
+    /// panic isolation), streams events to `sink`, verifies a
     /// sample when asked, and fans results back to every requester.
     ///
     /// `clock` must have had its pre-execution phases marked already (the
@@ -834,12 +785,7 @@ impl Engine {
         let cached_ctr = observer.cached.clone();
 
         let exec = Instant::now();
-        let policy = par::RetryPolicy {
-            attempts: opts.retries,
-            backoff: Duration::from_millis(10),
-            watchdog: opts.watchdog,
-        };
-        let report = par::try_par_map_indexed_observed(jobs, units.len(), &policy, &observer, |i| {
+        let results = par::try_par_map_indexed_observed(jobs, units.len(), &observer, |i| {
             let unit = &units[i];
             if panic_at.contains(&i) {
                 panic!("injected test panic at job {i}");
@@ -908,9 +854,6 @@ impl Engine {
         });
         let exec_host_nanos = exec.elapsed().as_nanos() as u64;
         clock.mark("simulate");
-        let retried_jobs = report.retried();
-        let total_retries = report.total_retries();
-        let slow_jobs = report.slow.clone();
 
         // Fan each unit's terminal state out to every requester, in unit
         // (= first-occurrence) order.
@@ -922,7 +865,7 @@ impl Engine {
             })
             .collect();
         let mut cached_units = 0u64;
-        for (u, res) in report.results.into_iter().enumerate() {
+        for (u, res) in results.into_iter().enumerate() {
             let unit = &units[u];
             deduped_ctr.add(unit.requesters.len() as u64 - 1);
             match res {
@@ -940,12 +883,11 @@ impl Engine {
                     for r in &unit.requesters {
                         let job = &campaigns[r.campaign].plan.jobs[r.job];
                         eprintln!(
-                            "{tool}: job {} ({} {} {:?}) failed after {} attempt(s): {}",
+                            "{tool}: job {} ({} {} {:?}) failed: {}",
                             r.job,
                             job.robot.name(),
                             job.config.as_str(),
                             job.label,
-                            f.attempts,
                             f.message
                         );
                         out[r.campaign].failures.push(JobFailureStats {
@@ -953,7 +895,6 @@ impl Engine {
                             config: job.config.as_str().to_string(),
                             label: job.label.clone(),
                             group: campaigns[r.campaign].plan.groups[job.group].name.clone(),
-                            attempts: f.attempts,
                             message: f.message.clone(),
                         });
                     }
@@ -1050,9 +991,6 @@ impl Engine {
             simulated,
             cached_units,
             verify_mismatches,
-            retried_jobs,
-            total_retries,
-            slow_jobs,
             workers,
             exec_host_nanos,
             spans,

@@ -11,7 +11,7 @@
 //!
 //! * **Specs** ([`CampaignSpec`], [`Campaign`], [`CampaignOptions`]) —
 //!   one or many expanded scenarios plus the execution options
-//!   (`--jobs`/`--retries`/`--watchdog`/store/resume/verify/progress)
+//!   (`--jobs`/store/resume/verify/progress)
 //!   they run under.
 //! * **Keyed job sets** ([`JobSet`], [`ExecUnit`]) — every planned job's
 //!   content address is computed up front, and jobs with identical keys
@@ -19,9 +19,9 @@
 //!   single execution unit whose result fans back to every requesting
 //!   `(campaign, job)` slot. Overlapping sweeps simulate each distinct
 //!   key exactly once.
-//! * **The engine** ([`Engine`]) — wraps `tartan-par`'s panic-isolated,
-//!   retrying, watchdog-observed worker pool together with the
-//!   `tartan-store` resume/verify machinery behind one `run` call.
+//! * **The engine** ([`Engine`]) — wraps `tartan-par`'s panic-isolated
+//!   worker pool together with the `tartan-store` resume/verify machinery
+//!   behind one `run` call.
 //! * **Events and reports** ([`CampaignEvent`], [`CampaignReport`]) — a
 //!   typed per-job started/cached/done/failed stream delivered in a
 //!   deterministic order (it depends only on the job set, never on

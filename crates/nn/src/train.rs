@@ -41,7 +41,8 @@ struct MemoEntry {
 /// computation, so a hit is exact by construction, not by hashing. A key
 /// being trained holds an in-flight slot: concurrent identical fits wait
 /// on [`FIT_DONE`] for its result instead of training it again, and a fit
-/// that panics frees its slot so a waiter retries.
+/// that panics frees its slot: a concurrent job with the same fit key is
+/// waiting on it and would otherwise block forever.
 static FIT_MEMO: Mutex<Vec<MemoEntry>> = Mutex::new(Vec::new());
 static FIT_DONE: Condvar = Condvar::new();
 

@@ -1,7 +1,9 @@
 //! The trainer's fit memo is single-flight: concurrent identical fits train
-//! once, and a fit that panics leaves its key retryable. This file is its
-//! own test binary, so no other test's fits move the process-wide
-//! counters it reads.
+//! once, and a fit that panics leaves its key retryable, because a
+//! concurrent job with the same fit key (the tier-1 bench's two PatrolBot
+//! builds, `probe_swarm`'s two clients) is waiting on its slot and would
+//! otherwise block forever. This file is its own test binary, so no other
+//! test's fits move the process-wide counters it reads.
 
 use std::panic;
 use std::sync::{mpsc, Barrier};

@@ -3,7 +3,7 @@
 //! Where `stats.json` describes *simulated* results (byte-deterministic
 //! for a fixed seed), the documents in this module describe the *host
 //! execution* of a campaign: who ran which job on which worker thread,
-//! when, how long it took, what was retried, what the store served. Their
+//! when, how long it took, whether it failed, what the store served. Their
 //! layout is fixed and validated, but the timing values are whatever the
 //! host measured — like `BENCH_host.json`, they are intentionally not
 //! byte-deterministic.
@@ -33,7 +33,7 @@ use crate::metrics::MetricsSnapshot;
 /// Independent of `STATS_SCHEMA_VERSION`: these documents describe host
 /// execution, not simulated results. CI's schema guard requires a
 /// matching `SCHEMA.md` entry when this changes.
-pub const CAMPAIGN_SCHEMA_VERSION: u32 = 1;
+pub const CAMPAIGN_SCHEMA_VERSION: u32 = 2;
 
 /// One phase of a campaign's host wall-clock, as a disjoint segment:
 /// the per-phase `host_nanos` of a profile sum to (approximately) the
@@ -59,17 +59,13 @@ pub struct JobSpan {
     pub label: String,
     /// Worker thread (0-based) that completed the job.
     pub worker: usize,
-    /// Host nanoseconds from campaign start to the job's first attempt.
+    /// Host nanoseconds from campaign start to the job's start.
     pub start_nanos: u64,
     /// Host nanoseconds from campaign start to the job's completion.
     pub end_nanos: u64,
-    /// Execution attempts made (≥ 1; > 1 means the job was retried).
-    pub attempts: u32,
-    /// Whether the watchdog flagged the job as slow.
-    pub slow: bool,
     /// Whether the result was served from the result store.
     pub cached: bool,
-    /// Whether the job produced a result (false = failed every attempt).
+    /// Whether the job produced a result (false = it panicked).
     pub ok: bool,
 }
 
@@ -84,8 +80,8 @@ impl JobSpan {
         push_str(buf, &self.label);
         let _ = write!(
             buf,
-            ",\"worker\":{},\"start_nanos\":{},\"end_nanos\":{},\"attempts\":{},\"slow\":{},\"cached\":{},\"ok\":{}}}",
-            self.worker, self.start_nanos, self.end_nanos, self.attempts, self.slow, self.cached, self.ok
+            ",\"worker\":{},\"start_nanos\":{},\"end_nanos\":{},\"cached\":{},\"ok\":{}}}",
+            self.worker, self.start_nanos, self.end_nanos, self.cached, self.ok
         );
     }
 }
@@ -163,8 +159,6 @@ const SPAN: Schema = Obj(&[
     ("worker", U64),
     ("start_nanos", U64),
     ("end_nanos", U64),
-    ("attempts", U64),
-    ("slow", Bool),
     ("cached", Bool),
     ("ok", Bool),
 ]);
@@ -236,8 +230,8 @@ pub fn campaign_trace_json(scenario: &str, workers: usize, spans: &[JobSpan]) ->
         push_str(&mut buf, &s.label);
         let _ = write!(
             buf,
-            ",\"attempts\":{},\"slow\":{},\"cached\":{},\"ok\":{}}}}}",
-            s.attempts, s.slow, s.cached, s.ok
+            ",\"cached\":{},\"ok\":{}}}}}",
+            s.cached, s.ok
         );
         if s.cached {
             sep(&mut buf);
@@ -262,11 +256,7 @@ pub struct Heartbeat {
     pub elapsed_nanos: u64,
     /// Results served from the store so far.
     pub cache_hits: u64,
-    /// Retry attempts made so far (attempts beyond each job's first).
-    pub retries: u64,
-    /// Jobs the watchdog has flagged as slow so far.
-    pub slow: u64,
-    /// Jobs that failed every attempt so far.
+    /// Jobs that panicked so far.
     pub failures: u64,
 }
 
@@ -301,11 +291,9 @@ impl Heartbeat {
         push_f64(&mut buf, self.runs_per_sec());
         let _ = write!(
             buf,
-            ",\"eta_nanos\":{},\"cache_hits\":{},\"retries\":{},\"slow\":{},\"failures\":{}}}",
+            ",\"eta_nanos\":{},\"cache_hits\":{},\"failures\":{}}}",
             self.eta_nanos(),
             self.cache_hits,
-            self.retries,
-            self.slow,
             self.failures
         );
         buf
@@ -318,13 +306,11 @@ impl Heartbeat {
             .checked_div(self.done)
             .unwrap_or(0);
         format!(
-            "progress: {}/{} ({pct}%)  {:.1} runs/s  eta {:.1}s  cache {cache_pct}%  retries {}  slow {}  failed {}",
+            "progress: {}/{} ({pct}%)  {:.1} runs/s  eta {:.1}s  cache {cache_pct}%  failed {}",
             self.done,
             self.total,
             self.runs_per_sec(),
             self.eta_nanos() as f64 / 1e9,
-            self.retries,
-            self.slow,
             self.failures
         )
     }
@@ -340,8 +326,6 @@ pub(crate) static HEARTBEAT_DOC: Schema = Obj(&[
     ("runs_per_sec", Num),
     ("eta_nanos", U64),
     ("cache_hits", U64),
-    ("retries", U64),
-    ("slow", U64),
     ("failures", U64),
 ]);
 
@@ -429,8 +413,6 @@ mod tests {
             worker,
             start_nanos: 1_000_000 * index as u64,
             end_nanos: 1_000_000 * index as u64 + 500_000,
-            attempts: 1 + (index % 2) as u32,
-            slow: index == 3,
             cached: index == 1,
             ok: index != 2,
         }
@@ -465,7 +447,7 @@ mod tests {
     fn profile_round_trips_validation() {
         let json = sample_profile().to_json();
         validate_campaign_profile_json(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
-        assert!(json.contains("\"campaign_schema_version\":1"));
+        assert!(json.contains("\"campaign_schema_version\":2"));
         assert!(json.contains("\"phases\":[{\"name\":\"parse\""));
         assert!(json.contains("\"metrics\":{\"counters\":{\"job.done\":4"));
         assert!(json.ends_with("}\n"));
@@ -483,7 +465,7 @@ mod tests {
         // Wrong version.
         let json = sample_profile()
             .to_json()
-            .replace("\"campaign_schema_version\":1", "\"campaign_schema_version\":99");
+            .replace("\"campaign_schema_version\":2", "\"campaign_schema_version\":99");
         assert!(validate_campaign_profile_json(&json).is_err());
         // Missing top-level key.
         let json = sample_profile().to_json().replace("\"phases\":", "\"p\":");
@@ -504,7 +486,7 @@ mod tests {
         // A mistyped flag.
         let json = sample_profile().to_json().replacen(":false", ":0", 1);
         let err = validate_campaign_profile_json(&json).unwrap_err();
-        assert!(err.starts_with("spans[0].slow: expected"), "{err}");
+        assert!(err.starts_with("spans[0].cached: expected"), "{err}");
     }
 
     #[test]
@@ -531,9 +513,7 @@ mod tests {
             total: 14,
             elapsed_nanos: 1_500_000_000,
             cache_hits: 1,
-            retries: 2,
-            slow: 1,
-            failures: 0,
+            failures: 1,
         };
         let line = hb.to_json_line();
         validate_heartbeat_json(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
@@ -543,7 +523,8 @@ mod tests {
         assert_eq!(hb.eta_nanos(), 5_500_000_000);
         let human = hb.render_human();
         assert!(human.contains("3/14"), "{human}");
-        assert!(human.contains("retries 2"), "{human}");
+        assert!(human.contains("failed 1"), "{human}");
+        assert!(line.ends_with(",\"cache_hits\":1,\"failures\":1}"), "{line}");
     }
 
     #[test]
@@ -557,9 +538,9 @@ mod tests {
             validate_heartbeat_json(&line.replace("\"type\":\"heartbeat\"", "\"type\":\"x\""))
                 .is_err()
         );
-        let ten = line.replace("_version\":1", "_version\":10");
-        let err = validate_heartbeat_json(&ten).unwrap_err();
-        assert!(err.contains("expected version 1, found 10"), "{err}");
+        let one = line.replace("_version\":2", "_version\":1");
+        let err = validate_heartbeat_json(&one).unwrap_err();
+        assert!(err.contains("expected version 2, found 1"), "{err}");
     }
 
     #[test]

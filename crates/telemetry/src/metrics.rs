@@ -78,7 +78,7 @@ struct Cells {
 /// A registry of named [`Counter`]s and [`Gauge`]s.
 ///
 /// Names are free-form; the convention in this workspace is dotted
-/// lowercase paths (`"store.hit"`, `"job.retried"`). Registering the same
+/// lowercase paths (`"store.hit"`, `"job.failed"`). Registering the same
 /// name twice returns a handle to the same cell, so call sites do not need
 /// to coordinate.
 #[derive(Debug, Default)]

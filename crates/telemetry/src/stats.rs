@@ -228,8 +228,8 @@ impl RobotRunStats {
     }
 }
 
-/// One job that produced no result: it panicked on every attempt the
-/// campaign's retry policy allowed (schema v2 `"failures"` entry).
+/// One job that produced no result because it panicked (schema v2
+/// `"failures"` entry).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JobFailureStats {
     /// Robot name of the failed job.
@@ -240,15 +240,12 @@ pub struct JobFailureStats {
     pub label: String,
     /// Scenario group name.
     pub group: String,
-    /// Attempts made before giving up (≥ 1).
-    pub attempts: u32,
-    /// Panic message of the final attempt.
+    /// The panic message.
     pub message: String,
 }
 
 impl JobFailureStats {
     fn write_json(&self, buf: &mut String) {
-        use std::fmt::Write;
         buf.push_str("{\"robot\":");
         push_str(buf, &self.robot);
         buf.push_str(",\"config\":");
@@ -257,7 +254,8 @@ impl JobFailureStats {
         push_str(buf, &self.label);
         buf.push_str(",\"group\":");
         push_str(buf, &self.group);
-        let _ = write!(buf, ",\"attempts\":{},\"message\":", self.attempts);
+        // Jobs run once: SCHEMA.md v3 keeps `attempts`, always 1.
+        buf.push_str(",\"attempts\":1,\"message\":");
         push_str(buf, &self.message);
         buf.push('}');
     }
@@ -736,13 +734,12 @@ mod tests {
             config: "tartan".into(),
             label: "sweep \"a\"".into(),
             group: "main".into(),
-            attempts: 2,
             message: "index out of bounds: the len is 4".into(),
         });
         let json = e.to_json();
         validate_stats_json(&json).unwrap_or_else(|err| panic!("{json}: {err}"));
         assert!(json.contains("\"failures\":[{\"robot\":\"DeliBot\""));
-        assert!(json.contains("\"attempts\":2"));
+        assert!(json.contains("\"attempts\":1,\"message\":"));
         assert!(json.contains("\"sweep \\\"a\\\"\""), "labels must be escaped");
     }
 
@@ -769,7 +766,6 @@ mod tests {
             config: "baseline".into(),
             label: "l".into(),
             group: "g".into(),
-            attempts: 1,
             message: "boom".into(),
         }];
         let mut e2 = e.clone();
@@ -801,7 +797,6 @@ mod tests {
             config: "tartan".into(),
             label: "l".into(),
             group: "g".into(),
-            attempts: 1,
             message: "boom".into(),
         };
         let json = stats_export_json("t", &[], &[failure]);

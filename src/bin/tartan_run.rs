@@ -5,9 +5,8 @@
 //!
 //! ```text
 //! tartan_run FILE... [--jobs N] [--out DIR] [--scale small|paper]
-//!                    [--store DIR [--resume] [--verify N]] [--retries N]
-//!                    [--watchdog MS] [--progress[=human|jsonl]]
-//!                    [--batch DIR]
+//!                    [--store DIR [--resume] [--verify N]]
+//!                    [--progress[=human|jsonl]] [--batch DIR]
 //! tartan_run --check FILE...
 //! ```
 //!
@@ -39,13 +38,14 @@
 //! to an uninterrupted run. `--verify N` re-executes a seeded sample of N
 //! cache-served jobs and diffs the records byte-for-byte; a mismatch
 //! quarantines and repairs the entry and fails the run. Jobs that panic
-//! are isolated per job (`--retries N` attempts each, default 1): the
-//! remaining jobs complete, and the export carries a structured
-//! `failures` section instead of the campaign aborting.
+//! are isolated per job: the remaining jobs complete, and the export
+//! carries a structured `failures` section instead of the campaign
+//! aborting. A failed job is not retried — jobs are deterministic, so it
+//! would panic again.
 //!
 //! Campaign observability (DESIGN.md §15): `--progress[=human|jsonl]`
 //! prints rate-limited heartbeats to stderr (done/total, runs/sec, ETA,
-//! cache-hit rate, retries, slow, failures) and writes two additional
+//! cache-hit rate, failures) and writes two additional
 //! artifacts next to the stats export — `<name>.campaign_profile.json`
 //! (schema-validated host-time attribution: disjoint parse/plan/simulate/
 //! store-io/export phases whose nanos sum to the campaign total by
@@ -53,10 +53,8 @@
 //! `<name>.campaign_trace.json` (a Perfetto-loadable timeline with one
 //! track per worker). In batch mode the two artifacts cover the whole
 //! batch as `batch.campaign_profile.json`/`batch.campaign_trace.json`.
-//! `--watchdog MS` flags jobs that run longer than the timeout; slow and
-//! retried job indices are summarized on stdout either way. All of this
-//! is strictly additive: the stats/CSV outputs are byte-identical with
-//! the flags on or off.
+//! All of this is strictly additive: the stats/CSV outputs are
+//! byte-identical with the flag on or off.
 //!
 //! Check mode validates each file and prints one line per problem in the
 //! scenario layer's `file: field.path: reason` form — the same errors CI
@@ -73,7 +71,6 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
-use std::time::Duration;
 
 use tartan::campaign::{
     cli, render_exports, Campaign, CampaignEvent, CampaignOptions, CampaignReport, CampaignSpec,
@@ -86,9 +83,8 @@ use tartan::sim::telemetry::{
 };
 
 const USAGE: &str = "usage: tartan_run FILE... [--jobs N] [--out DIR] [--scale small|paper]\n\
-                     \x20                [--store DIR [--resume] [--verify N]] [--retries N]\n\
-                     \x20                [--watchdog MS] [--progress[=human|jsonl]]\n\
-                     \x20                [--batch DIR]\n\
+                     \x20                [--store DIR [--resume] [--verify N]]\n\
+                     \x20                [--progress[=human|jsonl]] [--batch DIR]\n\
                      \x20      tartan_run --check FILE...";
 
 fn usage_error(msg: &str) -> ! {
@@ -127,16 +123,7 @@ fn check(files: &[String]) -> ! {
     std::process::exit(if ok { 0 } else { 1 });
 }
 
-/// `"3, 7, 11"` — the summary-line list form for job indices.
-fn fmt_indices(indices: &[usize]) -> String {
-    indices
-        .iter()
-        .map(|i| i.to_string())
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-/// One batch-mode stream line: a `campaign_schema_version` 1 `"job"`
+/// One batch-mode stream line: a `campaign_schema_version` 2 `"job"`
 /// document for a per-job lifecycle event (see `SCHEMA.md`).
 fn event_json(spec: &CampaignSpec, ev: &CampaignEvent<'_>) -> String {
     let (event, campaign, job) = match ev {
@@ -172,12 +159,9 @@ fn event_json(spec: &CampaignSpec, ev: &CampaignEvent<'_>) -> String {
             );
         }
         CampaignEvent::Failed {
-            attempts,
-            message,
-            deduped,
-            ..
+            message, deduped, ..
         } => {
-            let _ = write!(line, ",\"attempts\":{attempts},\"message\":");
+            line.push_str(",\"message\":");
             push_str(&mut line, message);
             let _ = write!(line, ",\"deduped\":{deduped}");
         }
@@ -213,25 +197,15 @@ fn write_campaign_exports(
     (stats_path, csv_path, runs)
 }
 
-/// Prints the store/retry/watchdog summary lines shared by both modes.
-fn print_execution_summary(report: &CampaignReport) {
-    // Store summary (satellite of DESIGN.md §15): campaign-lifetime op
-    // counts from this handle, folded into the metrics snapshot.
+/// Prints the store summary line shared by both modes (DESIGN.md §15):
+/// campaign-lifetime op counts from this handle, folded into the metrics
+/// snapshot.
+fn print_store_summary(report: &CampaignReport) {
     if let Some(c) = &report.store_counts {
         println!(
             "store: {} hit(s), {} miss(es), {} put(s), {} quarantine(s)",
             c.hits, c.misses, c.puts, c.quarantines
         );
-    }
-    if !report.retried_jobs.is_empty() {
-        println!(
-            "retried jobs ({} extra attempt(s)): {}",
-            report.total_retries,
-            fmt_indices(&report.retried_jobs)
-        );
-    }
-    if !report.slow_jobs.is_empty() {
-        println!("watchdog-slow jobs: {}", fmt_indices(&report.slow_jobs));
     }
 }
 
@@ -282,8 +256,6 @@ fn main() {
         scale: true,
         store: true,
         resume_verify: true,
-        retries: true,
-        watchdog: true,
         progress: true,
         batch: true,
         help: false,
@@ -344,8 +316,6 @@ fn main() {
     let batch = batch_flag || campaigns.len() > 1;
     let options = CampaignOptions {
         jobs: parsed.jobs,
-        retries: parsed.retries,
-        watchdog: parsed.watchdog_ms.map(Duration::from_millis),
         store: parsed.store.clone(),
         resume: parsed.resume,
         verify: parsed.verify,
@@ -411,7 +381,7 @@ fn main() {
             parsed.jobs,
             report.host_secs(),
         );
-        print_execution_summary(&report);
+        print_store_summary(&report);
         if parsed.progress.is_some() {
             write_profile(&parsed.out_dir, &campaign.spec.name, &clock, &report);
         }
@@ -453,7 +423,7 @@ fn main() {
         parsed.jobs,
         report.host_secs(),
     );
-    print_execution_summary(&report);
+    print_store_summary(&report);
     if parsed.progress.is_some() {
         write_profile(&parsed.out_dir, "batch", &clock, &report);
     }

@@ -281,6 +281,8 @@ fn bad_flags_exit_with_the_shared_usage_code() {
         vec![a.to_str().unwrap(), "--scale", "huge"],
         vec![a.to_str().unwrap(), "--batch"],
         vec!["--resume", a.to_str().unwrap()],
+        vec![a.to_str().unwrap(), "--retries", "2"],
+        vec![a.to_str().unwrap(), "--watchdog", "5"],
     ] {
         let out = tartan_run(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
