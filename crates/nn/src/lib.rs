@@ -17,6 +17,10 @@
 //! * [`SigmoidLut`] — the NPU's 512-entry sigmoid lookup table, so hardware
 //!   inference fidelity can be modeled exactly.
 //!
+//! PCA and MLP fits are pure functions of their input bits, so identical
+//! fits in one process are computed once and replayed bit-for-bit;
+//! [`FitMemoStats`] counts both.
+//!
 //! # Examples
 //!
 //! Train a tiny regressor with the AXAR loss:
@@ -41,6 +45,7 @@
 mod loss;
 mod lut;
 mod matrix;
+mod memo;
 mod mlp;
 mod pca;
 mod train;
@@ -48,9 +53,10 @@ mod train;
 pub use loss::Loss;
 pub use lut::SigmoidLut;
 pub use matrix::Matrix;
+pub use memo::FitMemoStats;
 pub use mlp::{Activation, Mlp, Topology, TopologyParseError};
 pub use pca::Pca;
-pub use train::{FitMemoStats, TrainReport, Trainer};
+pub use train::{TrainReport, Trainer};
 
 /// 64-bit FNV-1a over little-endian words, for parameter fingerprints.
 struct Fnv1a(u64);

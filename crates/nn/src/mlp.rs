@@ -25,7 +25,7 @@ pub enum Activation {
 
 impl Activation {
     /// Stable discriminant for the trainer's fit-memo key.
-    pub(crate) fn memo_tag(self) -> u64 {
+    pub(crate) fn memo_tag(self) -> u32 {
         match self {
             Activation::Sigmoid => 0,
             Activation::Identity => 1,
@@ -271,7 +271,7 @@ impl Mlp {
         for layer in &self.layers {
             h.word(layer.weights.rows() as u64);
             h.word(layer.weights.cols() as u64);
-            h.word(layer.activation.memo_tag());
+            h.word(u64::from(layer.activation.memo_tag()));
             h.f32s(layer.weights.as_slice());
             h.f32s(&layer.biases);
         }

@@ -4,6 +4,7 @@
 //! principal components before feeding the 50/1024/512/1 MLP.
 
 use crate::matrix::Matrix;
+use crate::memo::{self, Fitted, Key, Kind, Lookup};
 
 /// A fitted PCA transform.
 ///
@@ -33,11 +34,35 @@ pub struct Pca {
 impl Pca {
     /// Fits `k` principal components to the dataset.
     ///
+    /// The fit is a pure function of `data`'s bits and `k`, so an
+    /// identical fit earlier in the process (or in flight on another
+    /// thread) is replayed bit-for-bit from the memo that
+    /// [`crate::Trainer::fit`] also uses, and counted in
+    /// [`crate::FitMemoStats`].
+    ///
     /// # Panics
     ///
     /// Panics if the dataset is empty, rows have inconsistent widths, or
     /// `k` is zero or exceeds the dimensionality.
     pub fn fit(data: &[Vec<f32>], k: usize) -> Self {
+        match memo::claim(memo_key(data, k)) {
+            Lookup::Replay(done) => {
+                let Fitted::Pca(pca) = &*done else {
+                    unreachable!("the kind tag keeps PCA keys apart")
+                };
+                pca.clone()
+            }
+            Lookup::Fit(claim) => {
+                let pca = Self::compute(data, k);
+                claim.complete(Fitted::Pca(pca.clone()));
+                pca
+            }
+        }
+    }
+
+    /// Runs the fit: the mean, the covariance, then power iteration with
+    /// deflation, one component at a time.
+    fn compute(data: &[Vec<f32>], k: usize) -> Self {
         assert!(!data.is_empty(), "dataset must be non-empty");
         let d = data[0].len();
         assert!(data.iter().all(|r| r.len() == d), "rows must share a width");
@@ -139,6 +164,19 @@ impl Pca {
         }
         out
     }
+}
+
+/// The exact-match memo key of a fit: `k`, then every row's length and
+/// bits.
+pub(crate) fn memo_key(data: &[Vec<f32>], k: usize) -> Key {
+    let words: usize = data.iter().map(|r| 2 + r.len()).sum();
+    let mut key = Key::new(Kind::Pca, 4 + words);
+    key.u64(k as u64);
+    key.u64(data.len() as u64);
+    for row in data {
+        key.f32s(row);
+    }
+    key
 }
 
 /// The covariance matrix (d × d), accumulated one centered row at a time

@@ -1,15 +1,13 @@
 //! Minibatch SGD training with the paper's regularization recipe:
 //! L2 weight decay (λ = 0.01) and gradient clipping (c = 2.5), §V-F.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::loss::Loss;
 use crate::matrix::Matrix;
+use crate::memo::{self, Fitted, Key, Kind, Lookup};
 use crate::mlp::{Activation, Layer, Mlp};
 
 /// Samples per lane tile: the default minibatch. Larger batches run as
@@ -18,105 +16,6 @@ const LANES: usize = 16;
 
 /// One value per sample of a lane tile.
 type Lanes = [f32; LANES];
-
-/// A completed fit: the trained parameters and their report.
-type FitResult = (Vec<Layer>, TrainReport);
-
-/// One memo slot; `result` is `None` while a thread is still training it.
-struct MemoEntry {
-    key: Vec<u64>,
-    result: Option<Arc<FitResult>>,
-}
-
-/// Process-global, single-flight memo of [`Trainer::fit`] calls.
-///
-/// Training is fully deterministic — the result is a pure function of the
-/// hyperparameters, the network's initial state, and the dataset — so when
-/// the same fit is requested twice in one process (the tier-1 bench trains
-/// the identical PatrolBot detector for the baseline and Tartan
-/// configurations, and robot training depends only on seed and scale, not
-/// on the machine), the second call replays the cached parameters
-/// bit-for-bit instead of repeating the fit (tenths of a second at small
-/// scale, seconds at paper scale). The key packs every bit that feeds the
-/// computation, so a hit is exact by construction, not by hashing. A key
-/// being trained holds an in-flight slot: concurrent identical fits wait
-/// on [`FIT_DONE`] for its result instead of training it again, and a fit
-/// that panics frees its slot: a concurrent job with the same fit key is
-/// waiting on it and would otherwise block forever.
-static FIT_MEMO: Mutex<Vec<MemoEntry>> = Mutex::new(Vec::new());
-static FIT_DONE: Condvar = Condvar::new();
-
-static FITS_TRAINED: AtomicU64 = AtomicU64::new(0);
-static FITS_REPLAYED: AtomicU64 = AtomicU64::new(0);
-static FITS_WAITED: AtomicU64 = AtomicU64::new(0);
-
-/// Entries are environment-sized (the PatrolBot detector is ~150 KB); a
-/// small cap bounds worst-case memo growth in long test processes.
-const FIT_MEMO_MAX: usize = 32;
-
-/// Process-wide counts of [`Trainer::fit`] outcomes since start-up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FitMemoStats {
-    /// Fits that ran SGD.
-    pub trained: u64,
-    /// Fits served from the memo without training.
-    pub replayed: u64,
-    /// Of the replayed fits, those that first waited for an identical fit
-    /// still in flight on another thread.
-    pub waited: u64,
-}
-
-impl FitMemoStats {
-    /// A snapshot of the counters.
-    pub fn snapshot() -> Self {
-        FitMemoStats {
-            trained: FITS_TRAINED.load(Ordering::Relaxed),
-            replayed: FITS_REPLAYED.load(Ordering::Relaxed),
-            waited: FITS_WAITED.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Locks the memo. Every update under the lock is one `Vec` operation
-/// that leaves the memo valid, so a lock poisoned by a panic elsewhere is
-/// safe to recover.
-fn lock_memo() -> MutexGuard<'static, Vec<MemoEntry>> {
-    FIT_MEMO.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The claim on an in-flight memo slot. [`InFlight::complete`] publishes
-/// the result; dropping the claim unpublished (a panicking fit) frees the
-/// slot, so waiters retry instead of blocking forever.
-struct InFlight {
-    key: Option<Vec<u64>>,
-}
-
-impl InFlight {
-    fn complete(mut self, result: FitResult) {
-        let key = self.key.take().expect("claim completes once");
-        let mut memo = lock_memo();
-        memo.retain(|e| e.key != key);
-        // Completed entries stay in completion order, oldest evicted first.
-        if memo.iter().filter(|e| e.result.is_some()).count() >= FIT_MEMO_MAX {
-            let oldest = memo.iter().position(|e| e.result.is_some());
-            memo.remove(oldest.expect("memo holds completed entries"));
-        }
-        memo.push(MemoEntry {
-            key,
-            result: Some(Arc::new(result)),
-        });
-        FIT_DONE.notify_all();
-    }
-}
-
-impl Drop for InFlight {
-    fn drop(&mut self) {
-        if let Some(key) = self.key.take() {
-            lock_memo().retain(|e| e.key != key);
-            FIT_DONE.notify_all();
-        }
-    }
-}
 
 /// Summary statistics returned by [`Trainer::fit`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -288,44 +187,58 @@ impl Trainer {
     /// The exact-match memo key: every bit of state the deterministic fit
     /// depends on, in a fixed order — hyperparameters, topology,
     /// activations, initial parameters, then the dataset.
-    fn memo_key(&self, mlp: &Mlp, inputs: &[Vec<f32>], targets: &[Vec<f32>]) -> Vec<u64> {
-        fn push_f32s(key: &mut Vec<u64>, xs: &[f32]) {
-            key.push(xs.len() as u64);
-            key.extend(xs.iter().map(|x| x.to_bits() as u64));
-        }
-        let mut key = Vec::new();
+    pub(crate) fn memo_key(&self, mlp: &Mlp, inputs: &[Vec<f32>], targets: &[Vec<f32>]) -> Key {
+        // The memo keeps this allocation, so reserve the words it will
+        // hold (a header of at most 19) instead of growing by doubling.
+        let layers: usize = mlp
+            .layers
+            .iter()
+            .map(|l| 9 + l.weights.as_slice().len() + l.biases.len())
+            .sum();
+        let data: usize = inputs.iter().chain(targets).map(|x| 2 + x.len()).sum();
+        let mut key = Key::new(Kind::Mlp, 19 + layers + data);
         match self.loss {
-            Loss::Mse => key.push(0),
-            Loss::Bce => key.push(1),
+            Loss::Mse => key.word(0),
+            Loss::Bce => key.word(1),
             Loss::Asymmetric { alpha } => {
-                key.push(2);
-                key.push(alpha.to_bits() as u64);
+                key.word(2);
+                key.word(alpha.to_bits());
             }
         }
-        push_f32s(&mut key, &[self.learning_rate, self.momentum, self.l2]);
-        key.push(match self.clip_norm {
-            None => u64::MAX,
-            Some(c) => c.to_bits() as u64,
-        });
-        key.extend([self.epochs as u64, self.batch_size as u64, self.seed]);
-        key.push(mlp.layers.len() as u64);
-        for layer in &mlp.layers {
-            key.push(layer.weights.rows() as u64);
-            key.push(layer.weights.cols() as u64);
-            key.push(layer.activation.memo_tag());
-            push_f32s(&mut key, layer.weights.as_slice());
-            push_f32s(&mut key, &layer.biases);
+        key.f32s(&[self.learning_rate, self.momentum, self.l2]);
+        match self.clip_norm {
+            None => key.word(0),
+            Some(c) => {
+                key.word(1);
+                key.word(c.to_bits());
+            }
         }
-        key.push(inputs.len() as u64);
+        key.u64(self.epochs as u64);
+        key.u64(self.batch_size as u64);
+        key.u64(self.seed);
+        key.u64(mlp.layers.len() as u64);
+        for layer in &mlp.layers {
+            key.u64(layer.weights.rows() as u64);
+            key.u64(layer.weights.cols() as u64);
+            key.word(layer.activation.memo_tag());
+            key.f32s(layer.weights.as_slice());
+            key.f32s(&layer.biases);
+        }
+        key.u64(inputs.len() as u64);
         for (x, t) in inputs.iter().zip(targets.iter()) {
-            push_f32s(&mut key, x);
-            push_f32s(&mut key, t);
+            key.f32s(x);
+            key.f32s(t);
         }
         key
     }
 
     /// Trains `mlp` on `(inputs, targets)` pairs and reports final loss and
     /// overestimation rate.
+    ///
+    /// Training is a pure function of the hyperparameters, the network's
+    /// initial state and the dataset, so an identical fit earlier in the
+    /// process (or in flight on another thread) is replayed bit-for-bit
+    /// from the fit memo and counted in [`crate::FitMemoStats`].
     ///
     /// # Panics
     ///
@@ -334,38 +247,18 @@ impl Trainer {
     pub fn fit(&self, mlp: &mut Mlp, inputs: &[Vec<f32>], targets: &[Vec<f32>]) -> TrainReport {
         assert_eq!(inputs.len(), targets.len(), "inputs/targets must pair up");
         assert!(!inputs.is_empty(), "dataset must be non-empty");
-        let key = self.memo_key(mlp, inputs, targets);
-        let claim = {
-            let mut memo = lock_memo();
-            let mut waited = false;
-            loop {
-                match memo.iter().find(|e| e.key == key).map(|e| e.result.clone()) {
-                    Some(Some(done)) => {
-                        FITS_REPLAYED.fetch_add(1, Ordering::Relaxed);
-                        if waited {
-                            FITS_WAITED.fetch_add(1, Ordering::Relaxed);
-                        }
-                        drop(memo);
-                        mlp.layers = done.0.clone();
-                        return done.1;
-                    }
-                    Some(None) => {
-                        waited = true;
-                        memo = FIT_DONE.wait(memo).unwrap_or_else(PoisonError::into_inner);
-                    }
-                    None => {
-                        memo.push(MemoEntry {
-                            key: key.clone(),
-                            result: None,
-                        });
-                        break InFlight { key: Some(key) };
-                    }
-                }
+        let claim = match memo::claim(self.memo_key(mlp, inputs, targets)) {
+            Lookup::Replay(done) => {
+                let Fitted::Mlp(layers, report) = &*done else {
+                    unreachable!("the kind tag keeps MLP keys apart")
+                };
+                mlp.layers = layers.clone();
+                return *report;
             }
+            Lookup::Fit(claim) => claim,
         };
         let report = self.train(mlp, inputs, targets);
-        FITS_TRAINED.fetch_add(1, Ordering::Relaxed);
-        claim.complete((mlp.layers.clone(), report));
+        claim.complete(Fitted::Mlp(mlp.layers.clone(), report));
         report
     }
 

@@ -18,6 +18,10 @@
 //!   nearly every access misses everywhere and the host's own cache misses
 //!   on the simulator's tag store dominate (the other cases are resident
 //!   or sequential).
+//! * `bingo_random` — random lines over 4096 2 KiB regions under the
+//!   Bingo prefetcher, so its in-flight generation bound and both of its
+//!   4096-entry history tables stay full and evict on nearly every new
+//!   region.
 //!
 //! `machine_new` times building a whole machine with the paper's
 //! 32K/256K/8M hierarchy: the fixed set-up cost of every simulated job.
@@ -234,6 +238,35 @@ fn l3_random(c: &mut Criterion) {
     group.finish();
 }
 
+fn bingo_random(c: &mut Criterion) {
+    let mut group = c.benchmark_group("memhier");
+    group.sample_size(20);
+    let mut cfg = MachineConfig::upgraded_baseline();
+    cfg.prefetcher = tartan_sim::PrefetcherKind::Bingo;
+    let lines = 4096 * 2048 / cfg.line_bytes;
+    let mut mem = MemorySystem::new(&cfg);
+    let mut now = 0u64;
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    group.bench_function("bingo_random", |b| {
+        b.iter(|| {
+            let mut worst = 0;
+            for _ in 0..ACCESSES {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let addr = (state % lines) * cfg.line_bytes;
+                now += 1;
+                // Two PCs per region, 8192 in all: more trigger events
+                // than either history table holds.
+                let pc = addr >> 10;
+                worst |= mem.access(0, pc, addr, 4, AccessKind::Read, MemPolicy::Normal, now);
+            }
+            black_box(worst)
+        })
+    });
+    group.finish();
+}
+
 fn machine_new(c: &mut Criterion) {
     let mut group = c.benchmark_group("memhier");
     group.sample_size(50);
@@ -345,6 +378,7 @@ criterion_group!(
     dram_miss,
     prefetch_covered,
     l3_random,
+    bingo_random,
     machine_new,
     batch_unit_stride,
     batch_ovec_strided,

@@ -35,6 +35,15 @@ use crate::metrics::MetricsSnapshot;
 /// matching `SCHEMA.md` entry when this changes.
 pub const CAMPAIGN_SCHEMA_VERSION: u32 = 2;
 
+/// The campaign schema versions whose `BENCH_history.jsonl` line layout
+/// is today's. The history is append-only, so its validator accepts a line
+/// stamped with any of them. A bump that keeps the bench line's layout
+/// appends its number here; one that changes the layout must not.
+pub const BENCH_LINE_VERSIONS: &[u32] = &[1, 2];
+
+/// [`CAMPAIGN_SCHEMA_VERSION`] as a schema table's version list.
+const CURRENT: &[u32] = &[CAMPAIGN_SCHEMA_VERSION];
+
 /// One phase of a campaign's host wall-clock, as a disjoint segment:
 /// the per-phase `host_nanos` of a profile sum to (approximately) the
 /// campaign's `total_host_nanos`.
@@ -169,7 +178,7 @@ const ANY_OBJ: Schema = Obj(&[]);
 
 /// The `campaign_profile.json` schema table.
 pub(crate) static PROFILE_DOC: Schema = Obj(&[
-    ("campaign_schema_version", Version(CAMPAIGN_SCHEMA_VERSION)),
+    ("campaign_schema_version", Version(CURRENT)),
     ("generator", Str),
     ("scenario", Str),
     ("jobs", U64),
@@ -318,7 +327,7 @@ impl Heartbeat {
 
 /// The heartbeat-line schema table.
 pub(crate) static HEARTBEAT_DOC: Schema = Obj(&[
-    ("campaign_schema_version", Version(CAMPAIGN_SCHEMA_VERSION)),
+    ("campaign_schema_version", Version(CURRENT)),
     ("type", Tag("heartbeat")),
     ("done", U64),
     ("total", U64),
@@ -382,9 +391,10 @@ impl BenchHistoryLine {
 }
 
 /// The `BENCH_history.jsonl` line schema table; `warm_runs_per_sec` is a
-/// number or `null`.
+/// number or `null`, and the version any of
+/// [`BENCH_LINE_VERSIONS`].
 pub(crate) static BENCH_HISTORY_DOC: Schema = Obj(&[
-    ("campaign_schema_version", Version(CAMPAIGN_SCHEMA_VERSION)),
+    ("campaign_schema_version", Version(BENCH_LINE_VERSIONS)),
     ("type", Tag("bench")),
     ("generator", Str),
     ("timestamp_secs", U64),
@@ -571,5 +581,28 @@ mod tests {
         assert!(text.contains("\"warm_runs_per_sec\":40"));
         assert!(validate_bench_history_line(&text.replace("\"runs\":", "\"r\":")).is_err());
         assert!(validate_bench_history_line("not json").is_err());
+    }
+
+    #[test]
+    fn bench_history_accepts_every_version_of_todays_layout() {
+        // The writer stamps the current version, so the list must hold it.
+        assert!(BENCH_LINE_VERSIONS.contains(&CAMPAIGN_SCHEMA_VERSION));
+        let line = BenchHistoryLine {
+            generator: "bench_tier1".into(),
+            runs_per_sec: 6.0,
+            ..BenchHistoryLine::default()
+        }
+        .to_json_line();
+        let current = format!("{{\"campaign_schema_version\":{CAMPAIGN_SCHEMA_VERSION},");
+        assert!(line.starts_with(&current), "{line}");
+        let stamped = |v: u32| {
+            let text = line.replacen(&current, &format!("{{\"campaign_schema_version\":{v},"), 1);
+            validate_bench_history_line(&text)
+        };
+        stamped(1).unwrap_or_else(|e| panic!("a v1 bench line must validate: {e}"));
+        for v in [0, 3] {
+            let err = stamped(v).expect_err("only versions of today's layout validate");
+            assert!(err.contains("expected version 1 or 2"), "{err}");
+        }
     }
 }

@@ -416,8 +416,9 @@ pub(crate) enum Schema {
     Str,
     /// `true` or `false`.
     Bool,
-    /// Exactly this integer: a schema version.
-    Version(u32),
+    /// One of these integers: the schema versions a document of this
+    /// layout may carry.
+    Version(&'static [u32]),
     /// Exactly this string: a `type` tag.
     Tag(&'static str),
     /// `null` or the inner shape.
@@ -486,10 +487,14 @@ impl Schema {
             Schema::Str => drop(sc.scan_string(|_, _| {}).map_err(at)?),
             Schema::Bool if sc.keyword("true") || sc.keyword("false") => {}
             Schema::Bool => return Err(at(sc.expected("a boolean"))),
-            Schema::Version(v) => {
+            Schema::Version(versions) => {
                 let raw = sc.number().map_err(at)?;
-                if raw.parse::<u64>() != Ok(u64::from(*v)) {
-                    return Err(found(format!("version {v}"), raw));
+                let ok = raw
+                    .parse::<u64>()
+                    .is_ok_and(|n| versions.iter().any(|&v| n == u64::from(v)));
+                if !ok {
+                    let list: Vec<String> = versions.iter().map(u32::to_string).collect();
+                    return Err(found(format!("version {}", list.join(" or ")), raw));
                 }
             }
             Schema::Tag(tag) => {
@@ -681,7 +686,7 @@ mod tests {
 
     static POINT: Schema = Schema::Obj(&[("x", Schema::U64), ("tag", Schema::Opt(&Schema::Str))]);
     static DOC: Schema = Schema::Obj(&[
-        ("v", Schema::Version(2)),
+        ("v", Schema::Version(&[2])),
         ("kind", Schema::Tag("pts")),
         ("scale", Schema::Num),
         ("on", Schema::Bool),

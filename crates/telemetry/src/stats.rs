@@ -531,7 +531,7 @@ const FAILURE: Schema = Obj(&[
 
 /// The `stats.json` schema table (SCHEMA.md "Version history").
 pub(crate) static STATS_DOC: Schema = Obj(&[
-    ("schema_version", Version(STATS_SCHEMA_VERSION)),
+    ("schema_version", Version(&[STATS_SCHEMA_VERSION])),
     ("generator", Str),
     ("runs", ArrOf(&RUN)),
     ("failures", ArrOf(&FAILURE)),
@@ -561,7 +561,7 @@ const WARM_RUN: Schema = Obj(&[
 
 /// The `BENCH_host.json` schema table; the `warm` section is optional (v3).
 pub(crate) static HOST_BENCH_DOC: Schema = Obj(&[
-    ("schema_version", Version(STATS_SCHEMA_VERSION)),
+    ("schema_version", Version(&[STATS_SCHEMA_VERSION])),
     ("generator", Str),
     ("jobs", U64),
     ("total_host_nanos", U64),
