@@ -1039,27 +1039,19 @@ pub fn render_exports(
     (stats_export_json(generator, &records, &result.failures), csv)
 }
 
-/// Runs every planned job of `spec` through the engine at exactly
-/// `params`, returning full outcomes in plan order — the contract the
-/// figure harnesses rely on. Runs on one host thread
+/// Runs one expanded campaign through the engine, returning every job's
+/// full outcome in plan order — the contract the figure harnesses and
+/// [`probe_spec`] rely on. Runs on one host thread
 /// ([`CampaignOptions::default`]); the exports would be byte-identical at
 /// any count.
 ///
 /// # Panics
 ///
-/// On an invalid spec or any job failure: the harnesses treat both as a
-/// broken build, exactly as a propagated simulation panic did before.
-pub fn run_plan(spec: &ScenarioSpec, params: &ExperimentParams) -> Vec<RunOutcome> {
-    let plan = spec
-        .expand()
-        .unwrap_or_else(|e| panic!("checked-in scenario does not expand: {e}"));
-    let campaign = Campaign {
-        spec: spec.clone(),
-        plan,
-        params: *params,
-    };
+/// On any job failure: callers treat it as a broken build, exactly as a
+/// propagated simulation panic did before.
+pub fn run_plan(campaign: &Campaign) -> Vec<RunOutcome> {
     let engine = Engine::new(CampaignSpec {
-        campaigns: vec![campaign],
+        campaigns: vec![campaign.clone()],
         options: CampaignOptions {
             keep_outcomes: true,
             ..CampaignOptions::default()
@@ -1120,34 +1112,10 @@ pub fn probe_spec(spec: &ScenarioSpec) -> Result<Vec<RobotRunStats>, ScenarioErr
         plan,
         params,
     };
-    let engine = Engine::new(CampaignSpec {
-        campaigns: vec![campaign],
-        options: CampaignOptions {
-            jobs: 1,
-            keep_outcomes: true,
-            ..CampaignOptions::default()
-        },
-    });
-    let report = engine
-        .run(&mut PhaseClock::start(), None)
-        .unwrap_or_else(|e| panic!("{e}"));
-    let result = &report.campaigns[0];
-    if let Some(failure) = result.failures.first() {
-        panic!("{}", failure.message);
-    }
-    let campaign = &engine.spec.campaigns[0];
-    Ok(result
-        .results
+    Ok(run_plan(&campaign)
         .iter()
         .zip(&campaign.plan.jobs)
-        .map(|(slot, job)| {
-            slot.as_ref()
-                .expect("no failures")
-                .outcome
-                .as_ref()
-                .expect("keep_outcomes was set")
-                .to_run_stats(&job.config)
-        })
+        .map(|(outcome, job)| outcome.to_run_stats(&job.config))
         .collect())
 }
 
@@ -1284,5 +1252,17 @@ mod tests {
         let runs = probe_spec(&s).unwrap();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].robot, "DeliBot");
+    }
+
+    #[test]
+    fn probe_spec_reports_an_unexpandable_spec_with_its_field_path() {
+        let s = ScenarioSpec::from_json(
+            r#"{"schema_version": 1, "name": "bad",
+                "groups": [{"robots": ["DeliBot"], "machine": {"l2": {"ways": 0}}}]}"#,
+        )
+        .expect("inline scenario parses");
+        let err = probe_spec(&s).unwrap_err();
+        assert_eq!(err.path, "groups[0].machine.l2.ways");
+        assert_eq!(err.to_string(), "groups[0].machine.l2.ways: must be at least 1");
     }
 }

@@ -28,12 +28,12 @@
 use std::fmt::Write as _;
 
 use tartan_core::runner::gmean;
-use tartan_core::ExperimentParams;
+use tartan_core::{ExperimentParams, RunOutcome};
 use tartan_robots::RobotKind;
 use tartan_scenario::{Plan, ScenarioSpec};
 use tartan_sim::NpuMode;
 
-use crate::engine::run_plan;
+use crate::engine::{run_plan, Campaign};
 
 /// The checked-in scenario manifests (embedded at compile time from
 /// `scenarios/*.json`), one per data-driven harness. CI validates every
@@ -94,17 +94,27 @@ pub mod manifests {
     ];
 }
 
-/// Parses and expands a checked-in manifest. Panics on an invalid
+/// Parses, expands and runs a checked-in manifest at the caller's
+/// `params`, with the manifest's own `params.adjust` list applied on top
+/// of the caller's scale (the `tartan_run --scale` semantics). Returns the
+/// plan and every job's outcome in plan order. Panics on an invalid
 /// document: the embedded manifests are validated by unit tests, the
 /// scenario regression suite, and CI, so a failure here means the build
 /// itself is inconsistent.
-fn checked(manifest: &str) -> (ScenarioSpec, Plan) {
+fn run_manifest(manifest: &str, params: &ExperimentParams) -> (Plan, Vec<RunOutcome>) {
     let spec = ScenarioSpec::from_json(manifest)
         .unwrap_or_else(|e| panic!("checked-in scenario is invalid: {e}"));
     let plan = spec
         .expand()
         .unwrap_or_else(|e| panic!("checked-in scenario does not expand: {e}"));
-    (spec, plan)
+    let mut campaign = Campaign {
+        spec,
+        plan,
+        params: *params,
+    };
+    campaign.override_scale(params.scale);
+    let outcomes = run_plan(&campaign);
+    (campaign.plan, outcomes)
 }
 
 // ---------------------------------------------------------------- Fig. 1
@@ -125,8 +135,7 @@ pub struct Fig1Row {
 
 /// Fig. 1: execution-time breakdown and bottleneck analysis.
 pub fn fig1_breakdown(params: &ExperimentParams) -> Vec<Fig1Row> {
-    let (spec, plan) = checked(manifests::FIG1_BREAKDOWN);
-    let outcomes = run_plan(&spec, params);
+    let (plan, outcomes) = run_manifest(manifests::FIG1_BREAKDOWN, params);
     let mut rows = Vec::new();
     for (pair, jobs) in outcomes.chunks_exact(2).zip(plan.jobs.chunks_exact(2)) {
         let (base, tartan) = (&pair[0], &pair[1]);
@@ -188,8 +197,7 @@ pub struct Fig6Row {
 /// hardware hosts all methods so OVEC is available; the bars differ only
 /// in the software's fetch variant (see the manifest).
 pub fn fig6_ovec(params: &ExperimentParams) -> Vec<Fig6Row> {
-    let (spec, plan) = checked(manifests::FIG6_OVEC);
-    let outcomes = run_plan(&spec, params);
+    let (plan, outcomes) = run_manifest(manifests::FIG6_OVEC, params);
     let width = plan.groups[0].variants_per_robot;
     let mut rows = Vec::new();
     for (per_robot, jobs) in outcomes
@@ -247,8 +255,7 @@ pub struct Fig7Row {
 /// Fig. 7: ray-casting with trilinear interpolation — OVEC vs Intel's
 /// accelerator vs both.
 pub fn fig7_interpolation(params: &ExperimentParams) -> Vec<Fig7Row> {
-    let (spec, plan) = checked(manifests::FIG7_INTERPOLATION);
-    let outcomes = run_plan(&spec, params);
+    let (plan, outcomes) = run_manifest(manifests::FIG7_INTERPOLATION, params);
     let base = outcomes[0].bottleneck_cycles as f64;
     plan.jobs
         .iter()
@@ -291,8 +298,7 @@ pub struct Table2Row {
 /// (from the manifest): FlyBot exact, FlyBot AXAR, HomeBot TRAP, PatrolBot
 /// native.
 pub fn table2_networks(params: &ExperimentParams) -> Vec<Table2Row> {
-    let (spec, _plan) = checked(manifests::TABLE2_NETWORKS);
-    let outcomes = run_plan(&spec, params);
+    let (_, outcomes) = run_manifest(manifests::TABLE2_NETWORKS, params);
     let (fly_exact, fly_axar, home_trap, patrol) =
         (&outcomes[0], &outcomes[1], &outcomes[2], &outcomes[3]);
     // FlyBot exact vs AXAR: path-cost inflation (paper: 0%). HomeBot:
@@ -368,8 +374,7 @@ pub struct Fig8Row {
 /// Fig. 8: neural acceleration of robotics — baseline vs integrated NPU vs
 /// software execution vs co-processor.
 pub fn fig8_npu(params: &ExperimentParams) -> Vec<Fig8Row> {
-    let (spec, plan) = checked(manifests::FIG8_NPU);
-    let outcomes = run_plan(&spec, params);
+    let (plan, outcomes) = run_manifest(manifests::FIG8_NPU, params);
     let width = plan.groups[0].variants_per_robot;
     let mut rows = Vec::new();
     for (per_robot, jobs) in outcomes
@@ -438,8 +443,7 @@ pub struct Table3Row {
 /// PE count of each row is read back from the planned job's machine
 /// config — the single source of truth.
 pub fn table3_npu_pes(params: &ExperimentParams) -> Vec<Table3Row> {
-    let (spec, plan) = checked(manifests::TABLE3_NPU_PES);
-    let outcomes = run_plan(&spec, params);
+    let (plan, outcomes) = run_manifest(manifests::TABLE3_NPU_PES, params);
     let robots = plan.groups[0].len;
     let (baselines, sweep) = outcomes.split_at(robots);
     let sweep_jobs = plan.group_jobs(1);
@@ -507,10 +511,7 @@ pub struct Fig9Row {
 /// sizing lives in the manifest's `params.adjust` and is applied on top of
 /// the caller's scale.
 pub fn fig9_nns(params: &ExperimentParams) -> Vec<Fig9Row> {
-    let (spec, plan) = checked(manifests::FIG9_NNS);
-    let mut params = *params;
-    spec.params.apply_adjusts(&mut params.scale);
-    let outcomes = run_plan(&spec, &params);
+    let (plan, outcomes) = run_manifest(manifests::FIG9_NNS, params);
     let per_robot = plan.groups[0].variants_per_robot;
     let mut rows = Vec::new();
     for (chunk, jobs) in outcomes
@@ -576,10 +577,7 @@ pub struct Fig10Row {
 /// designed for. Both the software tier and the cloud sizing live in the
 /// manifest.
 pub fn fig10_prefetch(params: &ExperimentParams) -> Vec<Fig10Row> {
-    let (spec, plan) = checked(manifests::FIG10_PREFETCH);
-    let mut params = *params;
-    spec.params.apply_adjusts(&mut params.scale);
-    let outcomes = run_plan(&spec, &params);
+    let (plan, outcomes) = run_manifest(manifests::FIG10_PREFETCH, params);
     let width = plan.groups[0].variants_per_robot;
     let mut rows = Vec::new();
     let mut per_pf_ratios: Vec<Vec<f64>> = vec![Vec::new(); width];
@@ -653,8 +651,7 @@ pub struct Fig11Row {
 /// functions. Per robot: one no-FCP baseline (the manifest's prelude),
 /// then the 3 × 2 × 2 parameter sweep.
 pub fn fig11_fcp(params: &ExperimentParams) -> Vec<Fig11Row> {
-    let (spec, plan) = checked(manifests::FIG11_FCP);
-    let outcomes = run_plan(&spec, params);
+    let (plan, outcomes) = run_manifest(manifests::FIG11_FCP, params);
     let per_robot = plan.groups[0].variants_per_robot;
     let mut rows = Vec::new();
     for (chunk, jobs) in outcomes
@@ -713,8 +710,7 @@ pub struct Fig12Row {
 /// (paper: 1.2× legacy, 1.61× optimized, 2.11× approximable). Per robot:
 /// the upgraded-baseline reference (prelude), then Tartan per tier.
 pub fn fig12_end_to_end(params: &ExperimentParams) -> Vec<Fig12Row> {
-    let (spec, plan) = checked(manifests::FIG12_END_TO_END);
-    let outcomes = run_plan(&spec, params);
+    let (plan, outcomes) = run_manifest(manifests::FIG12_END_TO_END, params);
     let per_robot = plan.groups[0].variants_per_robot;
     let tiers = per_robot - 1;
     let mut rows = Vec::new();
@@ -772,8 +768,7 @@ pub struct UpgradeRow {
 /// §III-A: 32 B cachelines cut unnecessary data movement; write-through
 /// producer/consumer regions cut L3 traffic.
 pub fn baseline_upgrades(params: &ExperimentParams) -> Vec<UpgradeRow> {
-    let (spec, _plan) = checked(manifests::BASELINE_UPGRADES);
-    let outcomes = run_plan(&spec, params);
+    let (_, outcomes) = run_manifest(manifests::BASELINE_UPGRADES, params);
     let mut rows = Vec::new();
     for pair in outcomes.chunks_exact(2) {
         let (legacy, upgraded) = (&pair[0], &pair[1]);
@@ -826,8 +821,7 @@ pub struct AblationRow {
 /// second variant of each group is Tartan's default and the normalization
 /// baseline.
 pub fn ablations(params: &ExperimentParams) -> Vec<AblationRow> {
-    let (spec, plan) = checked(manifests::ABLATIONS);
-    let outcomes = run_plan(&spec, params);
+    let (plan, outcomes) = run_manifest(manifests::ABLATIONS, params);
     let mut rows = Vec::new();
     for (gi, group) in plan.groups.iter().enumerate() {
         let chunk = &outcomes[group.first..group.first + group.len];

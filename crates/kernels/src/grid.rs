@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use tartan_sim::{recycled_f32, Buffer, Machine, MemPolicy, Proc};
+use tartan_sim::{Buffer, Machine, MemPolicy, Proc};
 
 /// Program counter for scalar grid occupancy loads.
 pub const PC_GRID_LOAD: u64 = 0x7_1000;
@@ -58,7 +58,7 @@ impl Grid2 {
         policy: MemPolicy,
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut cells = recycled_f32(width * height);
+        let mut cells = vec![0.0; width * height];
         for x in 0..width {
             cells[x] = 1.0;
             cells[(height - 1) * width + x] = 1.0;
@@ -201,7 +201,7 @@ impl Grid3 {
             "grid dimensions must be positive"
         );
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut cells = recycled_f32(width * height * depth);
+        let mut cells = vec![0.0; width * height * depth];
         // Ground plane.
         for y in 0..height {
             for x in 0..width {

@@ -5,7 +5,7 @@
 
 use tartan_nn::{Mlp, Pca};
 use tartan_npu::SupervisedNpu;
-use tartan_sim::{recycled_f32, AccelId, Buffer, Machine, MemPolicy, Proc};
+use tartan_sim::{AccelId, Buffer, Machine, MemPolicy, Proc};
 
 use crate::grid::Grid2;
 
@@ -135,7 +135,7 @@ pub struct MlpClassifier {
 impl MlpClassifier {
     /// Wraps a trained PCA + MLP.
     pub fn new(machine: &mut Machine, pca: Pca, mlp: Mlp) -> Self {
-        let weights = machine.buffer_from_vec(recycled_f32(mlp.parameter_count()), MemPolicy::Normal);
+        let weights = machine.buffer_from_vec(vec![0.0; mlp.parameter_count()], MemPolicy::Normal);
         MlpClassifier { pca, mlp, weights }
     }
 

@@ -2,17 +2,9 @@
 //! orientation until the first obstacle, in the paper's three software
 //! variants plus the trilinear-interpolation mode of Fig. 7.
 
-use std::cell::RefCell;
-
 use tartan_sim::{AccessKind, Proc};
 
 use crate::grid::{Grid2, OCCUPIED, PC_GRID_LOAD};
-
-std::thread_local! {
-    /// Per-thread scratch for the batched walks below; reused across rays so
-    /// the host allocates once per worker instead of once per cast.
-    static RAY_ADDRS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
 
 /// How the oriented cell walk fetches memory (§VIII-A, Fig. 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,28 +120,25 @@ fn cast_scalar(
         // the run is charge-for-charge identical to the original loop.
         // The walk's addresses never depend on loaded values, so the cell
         // sequence can be precomputed functionally and replayed as one run.
-        return RAY_ADDRS.with(|scratch| {
-            let mut addrs = scratch.borrow_mut();
-            addrs.clear();
-            let mut hit = None;
-            for i in 1..=steps {
-                let x = (ox + i as f32 * dx).floor() as i64;
-                let y = (oy + i as f32 * dy).floor() as i64;
-                addrs.push(grid.cell_addr(x, y));
-                if grid.occupied(x, y) {
-                    hit = Some(i);
-                    break;
-                }
+        let mut addrs = Vec::with_capacity(steps);
+        let mut hit = None;
+        for i in 1..=steps {
+            let x = (ox + i as f32 * dx).floor() as i64;
+            let y = (oy + i as f32 * dy).floor() as i64;
+            addrs.push(grid.cell_addr(x, y));
+            if grid.occupied(x, y) {
+                hit = Some(i);
+                break;
             }
-            p.run_mem_addrs(PC_GRID_LOAD, &addrs, 4, AccessKind::Read, grid.policy(), 8, false);
-            if let Some(i) = hit {
-                // The speculated "continue" path was wrong: branch mispredict.
-                p.stall(12);
-                i as f32 * cfg.step
-            } else {
-                cfg.max_range
-            }
-        });
+        }
+        p.run_mem_addrs(PC_GRID_LOAD, &addrs, 4, AccessKind::Read, grid.policy(), 8, false);
+        return if let Some(i) = hit {
+            // The speculated "continue" path was wrong: branch mispredict.
+            p.stall(12);
+            i as f32 * cfg.step
+        } else {
+            cfg.max_range
+        };
     }
     for i in 1..=steps {
         let x = ox + i as f32 * dx;
@@ -224,15 +213,13 @@ fn cast_vector(
                 // index vector register.
                 p.instr(6 * n as u64);
                 p.flop(3 * n as u64);
-                RAY_ADDRS.with(|scratch| {
-                    let mut addrs = scratch.borrow_mut();
-                    addrs.clear();
-                    addrs.extend((0..n).map(|l| {
+                let addrs: Vec<u64> = (0..n)
+                    .map(|l| {
                         let idx = (origin + shift + l as f64 * orient).floor().max(0.0) as u64;
                         grid.base_addr() + 4 * idx.min(grid.len() as u64 - 1)
-                    }));
-                    p.vgather(PC_GRID_LOAD, &addrs, 4, policy);
-                });
+                    })
+                    .collect();
+                p.vgather(PC_GRID_LOAD, &addrs, 4, policy);
             }
         }
         // Vector compare (+ interpolation blend when enabled) and the
@@ -275,24 +262,21 @@ fn cast_racod(
         // Same batched replay as the scalar walk, but the ASIC executes no
         // CPU instructions per cell (`lead_instr + 1` must equal the
         // original per-cell instr(1) charged by `grid.load`, so lead 0).
-        return RAY_ADDRS.with(|scratch| {
-            let mut addrs = scratch.borrow_mut();
-            addrs.clear();
-            let mut hit = cfg.max_range;
-            for i in 1..=steps {
-                let x = (ox + i as f32 * dx).floor() as i64;
-                let y = (oy + i as f32 * dy).floor() as i64;
-                addrs.push(grid.cell_addr(x, y));
-                if grid.occupied(x, y) {
-                    hit = i as f32 * cfg.step;
-                    break;
-                }
+        let mut addrs = Vec::with_capacity(steps);
+        let mut hit = cfg.max_range;
+        for i in 1..=steps {
+            let x = (ox + i as f32 * dx).floor() as i64;
+            let y = (oy + i as f32 * dy).floor() as i64;
+            addrs.push(grid.cell_addr(x, y));
+            if grid.occupied(x, y) {
+                hit = i as f32 * cfg.step;
+                break;
             }
-            p.run_mem_addrs(PC_GRID_LOAD, &addrs, 4, AccessKind::Read, grid.policy(), 0, false);
-            // ASIC pipeline: two cells per cycle beyond what the loads stalled.
-            p.stall(addrs.len() as u64 / 2);
-            hit
-        });
+        }
+        p.run_mem_addrs(PC_GRID_LOAD, &addrs, 4, AccessKind::Read, grid.policy(), 0, false);
+        // ASIC pipeline: two cells per cycle beyond what the loads stalled.
+        p.stall(addrs.len() as u64 / 2);
+        return hit;
     }
     let mut hit = cfg.max_range;
     let mut scanned = 0u64;

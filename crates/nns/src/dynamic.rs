@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use tartan_sim::{recycled_f32, Buffer, Machine, MemPolicy, Proc};
+use tartan_sim::{Buffer, Machine, MemPolicy, Proc};
 
 use crate::dist_sq;
 use crate::lsh::LshConfig;
@@ -44,7 +44,7 @@ impl DynPointStore {
         DynPointStore {
             dim,
             len: 0,
-            data: machine.buffer_from_vec(recycled_f32(dim * capacity), MemPolicy::Normal),
+            data: machine.buffer_from_vec(vec![0.0; dim * capacity], MemPolicy::Normal),
         }
     }
 
@@ -303,7 +303,7 @@ impl DynLsh {
             cfg,
             dim,
             proj,
-            chunk_data: machine.buffer_from_vec(recycled_f32(slots * dim), MemPolicy::Normal),
+            chunk_data: machine.buffer_from_vec(vec![0.0; slots * dim], MemPolicy::Normal),
             chunk_ids: machine.buffer_from_vec(vec![0; slots], MemPolicy::Normal),
             next_slot: 0,
             buckets: HashMap::new(),

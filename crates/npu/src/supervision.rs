@@ -311,11 +311,6 @@ impl SupervisedNpu {
         })
     }
 
-    /// The wrapped accelerator id.
-    pub fn accel_id(&self) -> AccelId {
-        self.accel
-    }
-
     /// Supervised invocations so far.
     pub fn invocations(&self) -> u64 {
         self.invocations

@@ -98,8 +98,7 @@ impl HomeBot {
             ]),
         );
 
-        let mut depth = tartan_sim::recycled_f32(scale.depth_side * scale.depth_side);
-        depth.fill(1.0);
+        let depth = vec![1.0; scale.depth_side * scale.depth_side];
         let depth_image = machine.buffer_from_vec(depth, MemPolicy::Normal);
         HomeBot {
             software,
@@ -135,11 +134,6 @@ impl HomeBot {
         let r = self.rot_err_sum / self.frames_scored as f64;
         let t = self.trans_err_sum / self.frames_scored as f64;
         (r * t).sqrt()
-    }
-
-    /// The TRAP residual supervisor (check/rollback statistics).
-    pub fn icp_supervisor(&self) -> &IcpSupervisor {
-        &self.icp_sup
     }
 }
 

@@ -154,12 +154,6 @@ impl MoveBot {
         }
     }
 
-    /// Candidate-set verification counters: `(checks, rollbacks)` over all
-    /// NNS queries issued by approximate engines so far.
-    pub fn nns_verification(&self) -> (u64, u64) {
-        (self.nns_checks, self.nns_rollbacks)
-    }
-
     /// Fraction of planning queries solved.
     pub fn success_rate(&self) -> f64 {
         if self.planned == 0 {

@@ -3,69 +3,9 @@
 //! A `Buffer<T>` couples a real `Vec<T>` (the functional data) with a
 //! simulated base address, so that every element access drives the timing
 //! model with a realistic address stream.
-//!
-//! The module also hosts the per-worker *arena*: a thread-local pool of
-//! `f32` backing stores. Robot environments allocate the same few large
-//! grids and point clouds every run, and a bench campaign re-runs
-//! environments thousands of times per worker thread; recycling the host
-//! `Vec` keeps those pages hot instead of paying mmap + first-touch
-//! faults on every run. Recycling is automatic — dropping any
-//! `Buffer<f32>` returns its storage to the dropping thread's pool — and
-//! purely a host-side optimization: [`recycled_f32`] hands back fully
-//! zeroed storage, so functional results and simulated timing are
-//! bit-for-bit unaffected.
-
-use std::any::Any;
-use std::cell::RefCell;
 
 use crate::machine::{Machine, MemRun, Proc};
 use crate::memory::{AccessKind, MemPolicy};
-
-/// Backing stores smaller than this (in elements) are cheaper to
-/// reallocate than to pool; they are dropped normally.
-const ARENA_MIN_LEN: usize = 1024;
-
-/// Cap on pooled vectors per thread, bounding arena memory to a handful
-/// of environment-sized allocations.
-const ARENA_MAX_VECS: usize = 32;
-
-std::thread_local! {
-    static F32_ARENA: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Takes a zeroed `len`-element `f32` vector, reusing a recycled backing
-/// store from this thread's arena when one is large enough. Exactly
-/// equivalent to `vec![0.0; len]`.
-pub fn recycled_f32(len: usize) -> Vec<f32> {
-    let reused = F32_ARENA.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        pool.iter()
-            .position(|v| v.capacity() >= len)
-            .map(|i| pool.swap_remove(i))
-    });
-    match reused {
-        Some(mut v) => {
-            v.clear();
-            v.resize(len, 0.0);
-            v
-        }
-        None => vec![0.0; len],
-    }
-}
-
-/// Returns a backing store to the dropping thread's arena (called from
-/// `Buffer`'s `Drop`). Small or surplus vectors are simply freed.
-fn recycle_f32(v: Vec<f32>) {
-    if v.capacity() < ARENA_MIN_LEN {
-        return;
-    }
-    F32_ARENA.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() < ARENA_MAX_VECS {
-            pool.push(v);
-        }
-    });
-}
 
 /// An instrumented array living in the simulated address space.
 ///
@@ -83,21 +23,10 @@ fn recycle_f32(v: Vec<f32>) {
 /// assert_eq!(buf.peek(5), 1.0);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Buffer<T: 'static> {
+pub struct Buffer<T> {
     base: u64,
     policy: MemPolicy,
     data: Vec<T>,
-}
-
-impl<T: 'static> Drop for Buffer<T> {
-    fn drop(&mut self) {
-        // `f32` backing stores feed the per-worker arena; everything else
-        // drops normally. The checked `Any` downcast erases the generic.
-        let data: &mut dyn Any = &mut self.data;
-        if let Some(v) = data.downcast_mut::<Vec<f32>>() {
-            recycle_f32(std::mem::take(v));
-        }
-    }
 }
 
 impl Machine {
@@ -110,19 +39,14 @@ impl Machine {
     }
 
     /// Wraps an existing vector in a simulated buffer.
-    pub fn buffer_from_vec<T: 'static>(&mut self, data: Vec<T>, policy: MemPolicy) -> Buffer<T> {
+    pub fn buffer_from_vec<T>(&mut self, data: Vec<T>, policy: MemPolicy) -> Buffer<T> {
         let bytes = (data.len().max(1) * std::mem::size_of::<T>()) as u64;
         let base = self.alloc_raw(bytes);
         Buffer { base, policy, data }
     }
-
-    /// Allocates a zero-initialized buffer of `len` elements.
-    pub fn alloc_buffer<T: Default + Clone + 'static>(&mut self, len: usize, policy: MemPolicy) -> Buffer<T> {
-        self.buffer_from_vec(vec![T::default(); len], policy)
-    }
 }
 
-impl<T: 'static> Buffer<T> {
+impl<T> Buffer<T> {
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -164,7 +88,7 @@ impl<T: 'static> Buffer<T> {
     }
 }
 
-impl<T: Copy + 'static> Buffer<T> {
+impl<T: Copy> Buffer<T> {
     /// Timed, independent (OoO-overlappable) read of element `i`.
     ///
     /// # Panics
@@ -324,32 +248,6 @@ mod tests {
         let buf = m.buffer_from_vec((0..32).map(|i| i as f32).collect::<Vec<_>>(), MemPolicy::Normal);
         let sum: f32 = m.run(|p| buf.vget(p, 1, 8, 16).iter().sum());
         assert_eq!(sum, (8..24).sum::<i32>() as f32);
-    }
-
-    #[test]
-    fn dropping_an_f32_buffer_feeds_the_arena() {
-        // A deliberately odd size no other test on this thread allocates,
-        // so the pointer round-trip below can only come from recycling.
-        let len = 123_457;
-        let mut m = Machine::new(MachineConfig::legacy_baseline());
-        let buf = m.buffer_from_vec(vec![1.0f32; len], MemPolicy::Normal);
-        let ptr = buf.as_slice().as_ptr();
-        drop(buf);
-        let v = recycled_f32(len);
-        assert_eq!(v.as_ptr(), ptr, "arena must hand back the recycled store");
-        assert_eq!(v.len(), len);
-        assert!(v.iter().all(|&x| x == 0.0), "recycled storage must be zeroed");
-    }
-
-    #[test]
-    fn small_buffers_bypass_the_arena() {
-        let mut m = Machine::new(MachineConfig::legacy_baseline());
-        // Well under ARENA_MIN_LEN: the drop must not pool it, so a fresh
-        // request of the same size gets a new allocation (we can only
-        // observe that indirectly — the recycled vector is still correct).
-        drop(m.buffer_from_vec(vec![2.0f32; 8], MemPolicy::Normal));
-        let v = recycled_f32(8);
-        assert_eq!(v, vec![0.0f32; 8]);
     }
 
     #[test]

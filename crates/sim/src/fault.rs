@@ -93,14 +93,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether every rate is zero (the plan cannot inject anything).
-    pub fn is_quiet(&self) -> bool {
-        self.accel_error_rate == 0.0
-            && self.accel_bitflip_rate == 0.0
-            && self.accel_fail_rate == 0.0
-            && self.mem_spike_rate == 0.0
-    }
-
     /// Adds bounded-relative-error perturbation of accelerator outputs.
     pub fn with_accel_errors(mut self, rate: f64, magnitude: f64) -> Self {
         self.accel_error_rate = rate;

@@ -51,7 +51,7 @@ mod stats;
 mod vector;
 
 pub use accel::{AccelId, Accelerator, InvokeCost};
-pub use alloc::{recycled_f32, Buffer};
+pub use alloc::Buffer;
 pub use cache::{AccessOutcome, Cache, EvictedLine, PrefetchOutcome};
 pub use config::{
     CacheConfig, ConfigError, FcpConfig, FcpManipulation, MachineConfig, NpuMode, PrefetcherKind,

@@ -23,7 +23,7 @@ use tartan_telemetry::{Event, FaultSite, Interest, SharedSink};
 use crate::accel::{AccelId, Accelerator, InvokeCost};
 use crate::config::MachineConfig;
 use crate::error::TartanError;
-use crate::fault::{FaultPlan, FaultState, FaultStats};
+use crate::fault::{FaultState, FaultStats};
 use crate::memory::{AccessKind, MemPolicy, MemorySystem};
 use crate::stats::{MachineStats, PhaseStats};
 use crate::vector::oriented_lane_index;
@@ -66,14 +66,6 @@ impl Machine {
         }
     }
 
-    /// Installs (or clears) a fault-injection plan, resetting its RNG
-    /// stream. Counters are kept: a plan swap mid-run continues the same
-    /// campaign totals.
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.cfg.fault_plan = plan;
-        self.fault_state = plan.map(FaultState::new);
-    }
-
     /// Cumulative fault counters.
     pub fn fault_stats(&self) -> FaultStats {
         self.faults
@@ -89,11 +81,6 @@ impl Machine {
     /// bit-identical with and without a sink attached.
     pub fn set_telemetry(&mut self, sink: SharedSink) {
         self.mem.set_telemetry(Some(sink));
-    }
-
-    /// Detaches any telemetry sink.
-    pub fn clear_telemetry(&mut self) {
-        self.mem.set_telemetry(None);
     }
 
     /// The machine configuration.
@@ -872,17 +859,6 @@ impl<'m> Proc<'m> {
         self.machine.faults.recovered += n;
         if n > 0 && self.wants_telemetry(Interest::FAULT) {
             self.emit_telemetry(&Event::FaultRecovered {
-                cycle: self.telemetry_cycle(),
-                count: n,
-            });
-        }
-    }
-
-    /// Records `n` faults known to have corrupted a consumed result.
-    pub fn note_faults_unrecovered(&mut self, n: u64) {
-        self.machine.faults.unrecovered += n;
-        if n > 0 && self.wants_telemetry(Interest::FAULT) {
-            self.emit_telemetry(&Event::FaultUnrecovered {
                 cycle: self.telemetry_cycle(),
                 count: n,
             });

@@ -452,11 +452,6 @@ impl MemorySystem {
     pub fn l3_stats(&self) -> CacheStats {
         self.l3.stats
     }
-
-    /// Direct access to a core's L2 (for tests and diagnostics).
-    pub fn l2_cache(&self, core: usize) -> &Cache {
-        &self.l2[core]
-    }
 }
 
 fn merge(iter: impl Iterator<Item = CacheStats>) -> CacheStats {

@@ -354,11 +354,6 @@ impl JsonLinesSink {
         &self.out
     }
 
-    /// Consumes the sink, returning the accumulated text.
-    pub fn into_contents(self) -> String {
-        self.out
-    }
-
     /// Events not serialized because the byte cap was reached.
     pub fn dropped(&self) -> u64 {
         self.dropped
